@@ -4,9 +4,8 @@
 //! the entry-chunk kernels dominate) under every scheduling configuration:
 //! single-process at 1/2/4 threads, 1/2/4 worker processes at 1/2 threads
 //! each under both the plain protocol and tail sharding (owner-computes
-//! Adam, `shard_*` labels), plus a `shard_w4_t2_serial` twin with the
-//! coordinator-tail overlap disabled. Emits `BENCH_distributed.json` into
-//! the current directory.
+//! Adam, `shard_*` labels). Emits `BENCH_distributed.json` into the
+//! current directory.
 //!
 //! Two timings are reported per configuration:
 //!
@@ -128,7 +127,6 @@ struct ConfigResult {
     workers: usize,
     threads: usize,
     tail_shard: bool,
-    overlap: bool,
     wall_ms_per_epoch: f64,
     critical_path_ms_per_epoch: f64,
     bytes_sent_per_epoch: u64,
@@ -233,7 +231,6 @@ fn run_bench(smoke: bool) {
                     workers: 0,
                     threads,
                     tail_shard: false,
-                    overlap: false,
                     wall_ms_per_epoch: wall,
                     // One address space: the chunk grid is the critical path.
                     critical_path_ms_per_epoch: wall,
@@ -252,7 +249,7 @@ fn run_bench(smoke: bool) {
     }
 
     // One distributed configuration, either protocol: median of `trials`.
-    let run_dist = |label: String, workers: usize, threads: usize, tail_shard, overlap| {
+    let run_dist = |label: String, workers: usize, threads: usize, tail_shard| {
         let run_once = || {
             let mut c = cfg.clone();
             c.workers = Some(workers);
@@ -261,7 +258,6 @@ fn run_bench(smoke: bool) {
                 worker_threads: Some(threads),
                 worker_args: vec!["dist-worker".into()],
                 tail_shard,
-                overlap,
                 ..DistConfig::new(workers, exe.clone())
             };
             let mut clock = EpochClock::new();
@@ -288,7 +284,6 @@ fn run_bench(smoke: bool) {
                 workers,
                 threads,
                 tail_shard,
-                overlap,
                 wall_ms_per_epoch: wall,
                 critical_path_ms_per_epoch: critical,
                 bytes_sent_per_epoch: sent,
@@ -315,7 +310,6 @@ fn run_bench(smoke: bool) {
                 workers,
                 threads,
                 false,
-                false,
             ));
         }
     }
@@ -328,14 +322,9 @@ fn run_bench(smoke: bool) {
                 workers,
                 threads,
                 true,
-                true,
             ));
         }
     }
-
-    // The overlap on/off pair: shard_w4_t2 above overlaps the coordinator
-    // tail with worker compute; this twin serialises it after the relay.
-    results.push(run_dist("shard_w4_t2_serial".into(), 4, 2, true, false));
 
     // Every configuration must land on the same model bits — a benchmark
     // of diverging runs would be meaningless.
@@ -432,14 +421,13 @@ fn run_bench(smoke: bool) {
         let sep = if i + 1 == results.len() { "" } else { "," };
         json.push_str(&format!(
             "    {{\"label\": \"{}\", \"workers\": {}, \"threads\": {}, \
-             \"tail_shard\": {}, \"overlap\": {}, \
+             \"tail_shard\": {}, \
              \"wall_ms_per_epoch\": {:.3}, \"critical_path_ms_per_epoch\": {:.3}, \
              \"bytes_sent_per_epoch\": {}, \"bytes_received_per_epoch\": {}}}{sep}\n",
             r.label,
             r.workers,
             r.threads,
             r.tail_shard,
-            r.overlap,
             r.wall_ms_per_epoch,
             r.critical_path_ms_per_epoch,
             r.bytes_sent_per_epoch,

@@ -1,30 +1,33 @@
-//! The coordinator side of the distributed trainer.
+//! The coordinator side of the distributed trainer: the distributed entry
+//! points, the worker fleet, and the plain-protocol epoch backend.
 //!
-//! The coordinator is the single-process checkpointed loop
-//! (`TcssTrainer::train_with_faults`) with the entry-chunk evaluation
-//! out-sourced: it owns the model, the Adam state, the whole-data Gram
-//! tail, the Hausdorff head, the divergence watchdog, and the
-//! checkpoints; workers only evaluate chunks. Each epoch it broadcasts
-//! the full model, gathers per-chunk deltas worker-by-worker in worker
-//! order (= ascending global chunk order, since blocks are contiguous),
-//! and replays each chunk's scatter adds — reproducing the in-process
-//! float stream bit-for-bit. See the module docs of [`crate::dist`] for
-//! the parity argument and failure model.
+//! Both protocols run under the one guarded driver
+//! (`TcssTrainer::drive` in [`crate::train`]), which owns the watchdog,
+//! rollback, checkpoints and worker-loss recovery; this module supplies
+//! what is specific to running an epoch over worker processes.
+//!
+//! * `Workers` spawns the fleet, replaces lost workers, and — on drop —
+//!   shuts every worker down and reaps it, so no exit path leaks a child.
+//! * `PlainFleet` is the plain protocol's backend. The coordinator owns
+//!   the model, the Adam state, the whole-data Gram tail and the
+//!   Hausdorff head; workers only evaluate chunks. Each epoch it
+//!   broadcasts the model, gathers per-chunk deltas worker-by-worker in
+//!   worker order (= ascending global chunk order, since blocks are
+//!   contiguous), and replays each chunk's scatter adds — reproducing the
+//!   in-process float stream bit-for-bit. See the module docs of
+//!   [`crate::dist`] for the parity argument and failure model.
 
 use super::wire::{
     apply_deltas, decode_hello, deltas_epoch, encode_frame, encode_setup, encode_shutdown,
     encode_step_into, tag_of, FrameBuf, FrameDecoder, Setup, WireLoss, TAG_DELTAS, TAG_HELLO,
 };
 use super::{read_frame, DistError};
-use crate::checkpoint::{config_fingerprint, load_checkpoint, save_checkpoint, Checkpoint};
 use crate::config::LossStrategy;
-use crate::fault::{poison, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::loss::{Grads, ENTRIES_PER_CHUNK};
 use crate::model::TcssModel;
-use crate::model_io::ModelIoError;
 use crate::train::{
-    divergence_trouble, model_is_finite, AdamState, TcssTrainer, TrainContext, TrainError,
-    TrainReport,
+    AdamState, EpochBackend, Lost, TcssTrainer, TrainContext, TrainError, TrainReport,
 };
 use crate::workspace::TrainWorkspace;
 use std::io::Write;
@@ -63,12 +66,6 @@ pub struct DistConfig {
     /// a gather-and-splice. Bitwise identical to the plain protocol at any
     /// worker count. `false` runs the stateless-worker protocol.
     pub tail_shard: bool,
-    /// With `tail_shard`: compute the coordinator-retained Gram +
-    /// Hausdorff tail concurrently with worker chunk evaluation instead of
-    /// serially after the exchange relay. A pure latency knob — the tail
-    /// depends only on the epoch's broadcast model, so both settings
-    /// produce identical bits.
-    pub overlap: bool,
 }
 
 impl DistConfig {
@@ -82,7 +79,6 @@ impl DistConfig {
             socket_dir: None,
             max_respawns: 3,
             tail_shard: false,
-            overlap: true,
         }
     }
 }
@@ -113,7 +109,7 @@ pub struct DistReport {
 pub(super) struct WorkerSlot {
     pub(super) child: Child,
     pub(super) stream: UnixStream,
-    pub(super) dec: FrameDecoder,
+    dec: FrameDecoder,
     pub(super) chunk_start: usize,
     pub(super) chunk_end: usize,
     /// `U¹` rows this worker's chunk block can read — the entry list is
@@ -126,13 +122,13 @@ pub(super) struct WorkerSlot {
 
 /// Owns the listening socket path; removes the file on drop so aborted
 /// runs don't litter the temp dir.
-pub(super) struct SocketGuard {
-    pub(super) path: PathBuf,
-    pub(super) listener: UnixListener,
+struct SocketGuard {
+    path: PathBuf,
+    listener: UnixListener,
 }
 
 /// Bind a fresh per-run coordinator socket in the configured directory.
-pub(super) fn bind_socket(dist: &DistConfig) -> Result<SocketGuard, DistError> {
+fn bind_socket(dist: &DistConfig) -> Result<SocketGuard, DistError> {
     let dir = dist.socket_dir.clone().unwrap_or_else(std::env::temp_dir);
     let sock_path = dir.join(format!(
         "tcss-dist-{}-{}.sock",
@@ -151,15 +147,6 @@ impl Drop for SocketGuard {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.path);
     }
-}
-
-/// How one epoch attempt over the fleet ended.
-enum EpochOutcome {
-    /// All deltas gathered and merged; `l2` holds the entry-loss sum.
-    Done { l2: f64 },
-    /// A worker died (I/O error, EOF, or stream corruption); recoverable
-    /// by respawn + rollback.
-    WorkerLost { worker: usize, detail: String },
 }
 
 static SOCKET_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -186,227 +173,107 @@ impl TcssTrainer {
         faults: &FaultPlan,
         mut on_epoch: impl FnMut(TrainContext),
     ) -> Result<DistReport, TrainError> {
-        let cfg = &self.config;
-        self.validate()?;
         if dist.workers == 0 {
             return Err(TrainError::InvalidConfig(
                 "dist.workers must be at least 1".into(),
             ));
         }
         if dist.tail_shard {
-            return super::sharded::train_tail_sharded(self, dist, faults, &mut on_epoch);
+            let spawn = |model: &TcssModel| super::sharded::Fleet::spawn(self, dist, faults, model);
+            let (report, mut fleet, respawns) = self.drive(None, faults, spawn, &mut on_epoch)?;
+            Ok(fleet.workers.report(report, respawns))
+        } else {
+            let spawn = |model: &TcssModel| PlainFleet::spawn(self, dist, model);
+            let (report, mut fleet, respawns) = self.drive(None, faults, spawn, &mut on_epoch)?;
+            Ok(fleet.workers.report(report, respawns))
         }
-        let fingerprint = config_fingerprint(cfg);
+    }
+}
 
-        // --- Shard the global chunk grid into contiguous blocks ----------
-        let n_entries = self.tensor.entries().len();
+/// A spawned worker fleet — the coordinator socket and one connected
+/// slot per worker, in worker order — plus its transport telemetry.
+/// Dropping it shuts every worker down and reaps it, so no exit path of a
+/// run (error or success) leaves a child process behind.
+pub(super) struct Workers<'a> {
+    pub(super) trainer: &'a TcssTrainer,
+    pub(super) dist: &'a DistConfig,
+    guard: SocketGuard,
+    pub(super) slots: Vec<WorkerSlot>,
+    pub(super) bytes_sent: u64,
+    pub(super) bytes_received: u64,
+    pub(super) worker_busy_ns: Vec<u64>,
+    pub(super) epochs_dispatched: u64,
+}
+
+impl<'a> Workers<'a> {
+    /// Bind the coordinator socket and spawn `dist.workers` workers, each
+    /// owning a contiguous block of the global entry-chunk grid.
+    pub(super) fn spawn(trainer: &'a TcssTrainer, dist: &'a DistConfig) -> Result<Self, DistError> {
+        let n_entries = trainer.tensor.entries().len();
         let n_chunks = tcss_linalg::chunk_count(n_entries, ENTRIES_PER_CHUNK);
         let w = dist.workers;
-        let blocks: Vec<(usize, usize)> = (0..w)
-            .map(|i| (i * n_chunks / w, (i + 1) * n_chunks / w))
-            .collect();
-
-        // --- Socket + fleet ----------------------------------------------
-        let guard = bind_socket(dist)?;
-
-        let mut slots: Vec<WorkerSlot> = Vec::with_capacity(w);
-        for (worker, &(chunk_start, chunk_end)) in blocks.iter().enumerate() {
-            slots.push(self.spawn_worker(dist, &guard, worker, chunk_start, chunk_end)?);
+        let mut fleet = Workers {
+            trainer,
+            dist,
+            guard: bind_socket(dist)?,
+            slots: Vec::with_capacity(w),
+            bytes_sent: 0,
+            bytes_received: 0,
+            worker_busy_ns: vec![0; w],
+            epochs_dispatched: 0,
+        };
+        for worker in 0..w {
+            let slot = fleet.connect(worker, worker * n_chunks / w, (worker + 1) * n_chunks / w)?;
+            fleet.slots.push(slot);
         }
+        Ok(fleet)
+    }
 
-        // --- Run state: identical to the in-process checkpointed loop ----
-        let (mut model, mut adam, start_epoch, mut lr_scale, mut retries) =
-            self.init_run_state(fingerprint)?;
-        let mut last_good = (model.clone(), adam.clone(), start_epoch);
-        let checkpoint_path = cfg
-            .checkpoint_dir
-            .as_ref()
-            .map(|dir| dir.join(crate::checkpoint::CHECKPOINT_FILE));
-        if let Some(dir) = &cfg.checkpoint_dir {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| TrainError::Checkpoint(ModelIoError::Fs(e)))?;
+    /// `SIGKILL` worker `worker` and reap it (fault injection).
+    pub(super) fn kill(&mut self, worker: usize) {
+        if let Some(slot) = self.slots.get_mut(worker) {
+            let _ = slot.child.kill();
+            let _ = slot.child.wait();
         }
+    }
 
-        let ws = TrainWorkspace::new();
-        let mut grads = Grads::zeros(&model);
-        let mut tail = Grads::zeros(&model);
-        let mut step_buf = FrameBuf::new();
-        let mut epoch = start_epoch;
-        let mut respawns = 0u32;
-        let mut bytes_sent = 0u64;
-        let mut bytes_received = 0u64;
-        let mut worker_busy_ns = vec![0u64; w];
-        let mut epochs_dispatched = 0u64;
+    /// Replace worker `worker` with a fresh process on the same chunk
+    /// block.
+    pub(super) fn respawn(&mut self, worker: usize) -> Result<(), DistError> {
+        let (chunk_start, chunk_end) =
+            (self.slots[worker].chunk_start, self.slots[worker].chunk_end);
+        self.kill(worker);
+        self.slots[worker] = self.connect(worker, chunk_start, chunk_end)?;
+        Ok(())
+    }
 
-        while epoch < cfg.epochs {
-            if faults.take_crash(epoch) {
-                self.shutdown_fleet(&mut slots);
-                return Err(TrainError::InjectedCrash { epoch });
-            }
-            if let Some(victim) = faults.take_kill_worker(epoch) {
-                if let Some(slot) = slots.get_mut(victim) {
-                    let _ = slot.child.kill();
-                    let _ = slot.child.wait();
-                }
-            }
-
-            grads.set_zero();
-            epochs_dispatched += 1;
-            let epoch_sent0 = bytes_sent;
-            let epoch_recv0 = bytes_received;
-            let outcome = dispatch_epoch(
-                &mut slots,
-                epoch as u64,
-                &model,
-                &mut grads,
-                &mut step_buf,
-                &mut bytes_sent,
-                &mut bytes_received,
-                &mut worker_busy_ns,
-            )?;
-            let mut l2 = match outcome {
-                EpochOutcome::Done { l2 } => l2,
-                EpochOutcome::WorkerLost { worker, detail } => {
-                    respawns += 1;
-                    if respawns > dist.max_respawns {
-                        self.shutdown_fleet(&mut slots);
-                        return Err(TrainError::Dist(DistError::RespawnBudgetExhausted {
-                            worker,
-                            epoch,
-                            respawns,
-                            detail,
-                        }));
-                    }
-                    let (chunk_start, chunk_end) =
-                        (slots[worker].chunk_start, slots[worker].chunk_end);
-                    let _ = slots[worker].child.kill();
-                    let _ = slots[worker].child.wait();
-                    slots[worker] =
-                        self.spawn_worker(dist, &guard, worker, chunk_start, chunk_end)?;
-                    // Resume from the last checkpoint: the on-disk one
-                    // when checkpointing is enabled (exercising the full
-                    // load path), else the in-memory rollback snapshot —
-                    // they are refreshed at the same cadence points, so
-                    // the states are identical.
-                    match checkpoint_path.as_ref().filter(|p| p.exists()) {
-                        Some(path) => {
-                            let ck = load_checkpoint(path)?;
-                            model = ck.model;
-                            adam = AdamState {
-                                m: ck.m,
-                                v: ck.v,
-                                t: ck.adam_t,
-                            };
-                            epoch = ck.epoch;
-                            lr_scale = ck.lr_scale;
-                            retries = ck.retries;
-                        }
-                        None => {
-                            let (m, a, e) = &last_good;
-                            model = m.clone();
-                            adam = a.clone();
-                            epoch = *e;
-                        }
-                    }
-                    continue;
-                }
-            };
-
-            // --- Coordinator-local tail: Gram term + Hausdorff head ------
-            let l1 = self.epoch_tail_into(&model, epoch, &ws, &mut tail, &mut l2);
-            if self.tail_active(epoch) {
-                grads.add_scaled(1.0, &tail);
-            }
-            if faults.take_poison(epoch) {
-                poison(&mut grads);
-            }
-
-            // --- Watchdog / step / checkpoint: line-for-line the
-            // in-process loop -------------------------------------------
-            if let Some(detail) = divergence_trouble(cfg, l2, l1, grads.norm()) {
-                retries += 1;
-                if retries > cfg.max_retries {
-                    self.shutdown_fleet(&mut slots);
-                    return Err(TrainError::Diverged {
-                        epoch,
-                        retries,
-                        detail,
-                    });
-                }
-                lr_scale *= cfg.lr_backoff;
-                let (m, a, e) = &last_good;
-                model = m.clone();
-                adam = a.clone();
-                epoch = *e;
-                continue;
-            }
-
-            adam.step(
-                &mut model,
-                &grads,
-                cfg.learning_rate * lr_scale,
-                cfg.weight_decay,
-            );
-            on_epoch(TrainContext {
-                epoch,
-                l2,
-                l1,
-                bytes_sent: bytes_sent - epoch_sent0,
-                bytes_received: bytes_received - epoch_recv0,
-            });
-            epoch += 1;
-
-            let due = epoch.is_multiple_of(cfg.checkpoint_every) || epoch == cfg.epochs;
-            if due && model_is_finite(&model) {
-                last_good = (model.clone(), adam.clone(), epoch);
-                if let Some(path) = &checkpoint_path {
-                    let ck = Checkpoint {
-                        epoch,
-                        adam_t: adam.t,
-                        lr_scale,
-                        retries,
-                        seed: cfg.seed,
-                        fingerprint,
-                        model: model.clone(),
-                        m: adam.m.clone(),
-                        v: adam.v.clone(),
-                    };
-                    save_checkpoint(&ck, path)?;
-                }
-            }
-        }
-
-        self.shutdown_fleet(&mut slots);
-        Ok(DistReport {
-            report: TrainReport {
-                model,
-                start_epoch,
-                rollbacks: retries,
-                lr_scale,
-            },
-            workers: w,
+    /// The [`DistReport`] of a finished run.
+    fn report(&mut self, report: TrainReport, respawns: u32) -> DistReport {
+        DistReport {
+            report,
+            workers: self.slots.len(),
             respawns,
-            bytes_sent,
-            bytes_received,
-            worker_busy_ns,
-            epochs_dispatched,
-        })
+            bytes_sent: self.bytes_sent,
+            bytes_received: self.bytes_received,
+            worker_busy_ns: std::mem::take(&mut self.worker_busy_ns),
+            epochs_dispatched: self.epochs_dispatched,
+        }
     }
 
     /// Spawn one worker process, accept its connection, verify its Hello,
-    /// and send its Setup.
-    pub(super) fn spawn_worker(
+    /// and send its Setup. A worker that fails the handshake is killed
+    /// and reaped before the error returns.
+    fn connect(
         &self,
-        dist: &DistConfig,
-        guard: &SocketGuard,
         worker: usize,
         chunk_start: usize,
         chunk_end: usize,
     ) -> Result<WorkerSlot, DistError> {
+        let dist = self.dist;
         let mut child = Command::new(&dist.worker_program)
             .args(&dist.worker_args)
             .arg("--socket")
-            .arg(&guard.path)
+            .arg(&self.guard.path)
             .arg("--worker")
             .arg(worker.to_string())
             .stdin(Stdio::null())
@@ -415,16 +282,44 @@ impl TcssTrainer {
                 program: dist.worker_program.display().to_string(),
                 source: e,
             })?;
+        match self.handshake(&mut child, worker, chunk_start, chunk_end) {
+            Ok((stream, dec, u1_lo, u1_hi)) => Ok(WorkerSlot {
+                child,
+                stream,
+                dec,
+                chunk_start,
+                chunk_end,
+                u1_lo,
+                u1_hi,
+            }),
+            Err(e) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                Err(e)
+            }
+        }
+    }
+
+    /// Accept `child`'s connection, check its Hello, and send its Setup;
+    /// returns the stream, its decoder, and the worker's `U¹` read window.
+    fn handshake(
+        &self,
+        child: &mut Child,
+        worker: usize,
+        chunk_start: usize,
+        chunk_end: usize,
+    ) -> Result<(UnixStream, FrameDecoder, usize, usize), DistError> {
+        let listener = &self.guard.listener;
         // Accept without ever hanging: a worker that dies before
         // connecting (bad program, crash on startup) surfaces as a typed
         // error, detected by polling the child between accept attempts.
-        guard.listener.set_nonblocking(true)?;
+        listener.set_nonblocking(true)?;
         let mut stream = loop {
-            match guard.listener.accept() {
+            match listener.accept() {
                 Ok((s, _addr)) => break s,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if let Some(status) = child.try_wait()? {
-                        guard.listener.set_nonblocking(false)?;
+                        listener.set_nonblocking(false)?;
                         return Err(DistError::Protocol(format!(
                             "worker {worker} exited before connecting ({status})"
                         )));
@@ -432,12 +327,12 @@ impl TcssTrainer {
                     std::thread::sleep(std::time::Duration::from_millis(5));
                 }
                 Err(e) => {
-                    guard.listener.set_nonblocking(false)?;
+                    listener.set_nonblocking(false)?;
                     return Err(DistError::Io(e));
                 }
             }
         };
-        guard.listener.set_nonblocking(false)?;
+        listener.set_nonblocking(false)?;
         stream.set_nonblocking(false)?;
         let mut dec = FrameDecoder::new();
         let hello = read_frame(&mut stream, &mut dec)?.ok_or_else(|| {
@@ -455,9 +350,10 @@ impl TcssTrainer {
                 "expected Hello from worker {worker}, got worker {claimed}"
             )));
         }
-        let cfg = &self.config;
+        let trainer = self.trainer;
+        let cfg = &trainer.config;
         let setup = Setup {
-            dims: self.tensor.dims(),
+            dims: trainer.tensor.dims(),
             rank: cfg.rank,
             w_plus: cfg.w_plus,
             w_minus: cfg.w_minus,
@@ -470,79 +366,144 @@ impl TcssTrainer {
             seed: cfg.seed,
             chunk_start,
             chunk_end,
-            threads: dist.worker_threads.unwrap_or(1).max(1),
-            n_workers: dist.workers,
-            tail_shard: dist.tail_shard,
+            threads: self.dist.worker_threads.unwrap_or(1).max(1),
+            n_workers: self.dist.workers,
+            tail_shard: self.dist.tail_shard,
             weight_decay: cfg.weight_decay,
-            entries: self.tensor.entries().to_vec(),
+            entries: trainer.tensor.entries().to_vec(),
         };
         stream.write_all(&encode_frame(&encode_setup(&setup)))?;
-        let entries = self.tensor.entries();
+        let entries = trainer.tensor.entries();
         let lo = (chunk_start * ENTRIES_PER_CHUNK).min(entries.len());
         let hi = (chunk_end * ENTRIES_PER_CHUNK).min(entries.len());
         let (u1_lo, u1_hi) = match setup.loss {
             // Negative sampling draws rows anywhere in the tensor.
-            WireLoss::NegSampling => (0, self.tensor.dims().0),
+            WireLoss::NegSampling => (0, trainer.tensor.dims().0),
             WireLoss::L2Entries if lo < hi => (entries[lo].i, entries[hi - 1].i + 1),
             WireLoss::L2Entries => (0, 0),
         };
-        Ok(WorkerSlot {
-            child,
-            stream,
-            dec,
-            chunk_start,
-            chunk_end,
-            u1_lo,
-            u1_hi,
-        })
+        Ok((stream, dec, u1_lo, u1_hi))
     }
+}
 
+impl Drop for Workers<'_> {
     /// Best-effort fleet teardown: Shutdown frame, then reap. Workers also
     /// exit on EOF, so a failed write still converges.
-    pub(super) fn shutdown_fleet(&self, slots: &mut Vec<WorkerSlot>) {
-        for slot in slots.iter_mut() {
+    fn drop(&mut self) {
+        for slot in &mut self.slots {
             let _ = slot.stream.write_all(&encode_frame(&encode_shutdown()));
             let _ = slot.stream.shutdown(std::net::Shutdown::Both);
         }
-        for slot in slots.iter_mut() {
+        for slot in &mut self.slots {
             let _ = slot.child.wait();
         }
-        slots.clear();
+    }
+}
+
+/// The plain protocol's epoch backend: stateless workers evaluate their
+/// chunk blocks, the coordinator merges their deltas, adds the Gram +
+/// Hausdorff tail, and runs Adam over the whole model.
+struct PlainFleet<'a> {
+    workers: Workers<'a>,
+    ws: TrainWorkspace,
+    grads: Grads,
+    tail: Grads,
+    step_buf: FrameBuf,
+}
+
+impl<'a> PlainFleet<'a> {
+    fn spawn(
+        trainer: &'a TcssTrainer,
+        dist: &'a DistConfig,
+        model: &TcssModel,
+    ) -> Result<Self, TrainError> {
+        Ok(PlainFleet {
+            workers: Workers::spawn(trainer, dist)?,
+            ws: TrainWorkspace::new(),
+            grads: Grads::zeros(model),
+            tail: Grads::zeros(model),
+            step_buf: FrameBuf::new(),
+        })
+    }
+}
+
+impl EpochBackend for PlainFleet<'_> {
+    fn evaluate(&mut self, epoch: usize, model: &TcssModel) -> Result<(f64, f64, f64), Lost> {
+        self.grads.set_zero();
+        self.workers.epochs_dispatched += 1;
+        let mut l2 = dispatch_epoch(
+            &mut self.workers,
+            epoch as u64,
+            model,
+            &mut self.grads,
+            &mut self.step_buf,
+        )?;
+        // Coordinator-local tail: Gram term + Hausdorff head.
+        let trainer = self.workers.trainer;
+        let l1 = trainer.epoch_tail_into(model, epoch, &self.ws, &mut self.tail, &mut l2);
+        if trainer.tail_active(epoch) {
+            self.grads.add_scaled(1.0, &self.tail);
+        }
+        Ok((l2, l1, self.grads.norm()))
+    }
+
+    fn commit(
+        &mut self,
+        _epoch: usize,
+        model: &mut TcssModel,
+        adam: &mut AdamState,
+        lr: f64,
+    ) -> Result<(), Lost> {
+        let weight_decay = self.workers.trainer.config.weight_decay;
+        adam.step(model, &self.grads, lr, weight_decay);
+        Ok(())
+    }
+
+    fn kill(&mut self, worker: usize) {
+        self.workers.kill(worker);
+    }
+
+    fn replace(&mut self, worker: usize) -> Result<(), TrainError> {
+        Ok(self.workers.respawn(worker)?)
+    }
+
+    fn max_respawns(&self) -> u32 {
+        self.workers.dist.max_respawns
+    }
+
+    fn traffic(&self) -> (u64, u64) {
+        (self.workers.bytes_sent, self.workers.bytes_received)
     }
 }
 
 /// One epoch over the fleet: broadcast the model to every worker, then
 /// gather and merge deltas worker-by-worker **in worker order** — with
 /// contiguous blocks that is ascending global chunk order, the exact add
-/// sequence of the in-process fold.
+/// sequence of the in-process fold. Returns the entry-loss sum.
 ///
 /// Strict lockstep is maintained even under failure: every worker that
 /// received a Step gets its reply read (and discarded on epoch mismatch)
 /// before the next broadcast, so no stale frames can deadlock a later
 /// broadcast against a worker blocked mid-write.
-#[allow(clippy::too_many_arguments)]
 fn dispatch_epoch(
-    slots: &mut [WorkerSlot],
+    fleet: &mut Workers<'_>,
     epoch: u64,
     model: &TcssModel,
     grads: &mut Grads,
     step_buf: &mut FrameBuf,
-    bytes_sent: &mut u64,
-    bytes_received: &mut u64,
-    worker_busy_ns: &mut [u64],
-) -> Result<EpochOutcome, DistError> {
-    let mut lost: Option<(usize, String)> = None;
+) -> Result<f64, Lost> {
+    let mut lost: Option<Lost> = None;
 
     // Broadcast, each worker getting its own U¹ row window, the frame
     // encoded into a buffer reused across workers and epochs.
-    let mut stepped = vec![false; slots.len()];
-    for (w, slot) in slots.iter_mut().enumerate() {
+    let mut stepped = vec![false; fleet.slots.len()];
+    for (w, slot) in fleet.slots.iter_mut().enumerate() {
         encode_step_into(step_buf.payload(), epoch, model, slot.u1_lo, slot.u1_hi);
         let step = step_buf.finish();
         match slot.stream.write_all(step) {
             Ok(()) => {
                 stepped[w] = true;
-                *bytes_sent += step.len() as u64;
+                fleet.bytes_sent += step.len() as u64;
             }
             Err(e) => {
                 lost.get_or_insert((w, format!("step broadcast failed: {e}")));
@@ -553,7 +514,7 @@ fn dispatch_epoch(
     // Gather, in worker order. Keep reading even after a loss elsewhere:
     // lockstep requires draining every outstanding reply.
     let mut l2 = 0.0;
-    for (w, slot) in slots.iter_mut().enumerate() {
+    for (w, slot) in fleet.slots.iter_mut().enumerate() {
         if !stepped[w] {
             continue;
         }
@@ -569,7 +530,7 @@ fn dispatch_epoch(
                     break;
                 }
             };
-            *bytes_received +=
+            fleet.bytes_received +=
                 (frame.len() + super::wire::HEADER_LEN + super::wire::TRAILER_LEN) as u64;
             match tag_of(&frame) {
                 Ok(TAG_DELTAS) => match deltas_epoch(&frame) {
@@ -577,7 +538,7 @@ fn dispatch_epoch(
                     Ok(_) => {
                         if lost.is_none() {
                             match apply_deltas(&frame, epoch, grads, &mut l2) {
-                                Ok((busy, _chunks)) => worker_busy_ns[w] += busy,
+                                Ok((busy, _chunks)) => fleet.worker_busy_ns[w] += busy,
                                 Err(e) => {
                                     lost.get_or_insert((w, format!("corrupt deltas: {e}")));
                                 }
@@ -603,7 +564,7 @@ fn dispatch_epoch(
     }
 
     match lost {
-        None => Ok(EpochOutcome::Done { l2 }),
-        Some((worker, detail)) => Ok(EpochOutcome::WorkerLost { worker, detail }),
+        None => Ok(l2),
+        Some(lost) => Err(lost),
     }
 }

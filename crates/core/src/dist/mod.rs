@@ -10,11 +10,15 @@
 //! # Architecture
 //!
 //! * **Coordinator** ([`coordinator`], driven through
-//!   [`crate::train::TcssTrainer::train_distributed`]) — owns the model,
-//!   the Adam state, the whole-data Gram tail, the Hausdorff head, the
-//!   divergence watchdog, and the checkpoints. It spawns N workers,
-//!   assigns each a **contiguous block** of the global entry-chunk grid,
-//!   broadcasts the full model each step, and merges the returned deltas.
+//!   [`crate::train::TcssTrainer::train_distributed`]) — runs the same
+//!   guarded epoch driver as in-process training ([`crate::train`]: the
+//!   watchdog, rollback, checkpoints and worker-loss recovery), with a
+//!   fleet as its epoch backend. It spawns N workers, assigns each a
+//!   **contiguous block** of the global entry-chunk grid, and — in the
+//!   plain protocol — broadcasts the full model each step, merges the
+//!   returned deltas, and owns the Adam state, the whole-data Gram tail
+//!   and the Hausdorff head. The fleet reaps its workers when dropped,
+//!   so no exit path leaks a child process.
 //! * **Workers** ([`worker::run_worker`], the hidden `dist-worker` CLI
 //!   subcommand / the `tcss-dist-worker` test binary) — stateless chunk
 //!   evaluators. A worker holds the tensor (shipped once in Setup) and,
@@ -62,12 +66,14 @@
 //!
 //! # Failure model
 //!
-//! Workers are stateless, so recovery is replay: if a worker dies
+//! Plain workers are stateless, so recovery is replay: if a worker dies
 //! (detected as an I/O error or EOF on its socket — there are no
-//! application-level timeouts to tune), the coordinator respawns it,
-//! re-sends Setup, rolls the run back to the last checkpoint (the on-disk
-//! one when checkpointing is enabled, else the in-memory rollback
-//! snapshot), and continues; `max_respawns` bounds the budget. Epoch
+//! application-level timeouts to tune), the backend reports it, and the
+//! driver has it respawned (re-sending Setup), rolls the run back to the
+//! last checkpoint (the on-disk one when checkpointing is enabled, else
+//! the in-memory rollback snapshot), and continues; `max_respawns`
+//! bounds the budget. Tail-sharded workers are re-installed with an
+//! Adopt frame after the same rollback. Epoch
 //! replay is bit-exact for the same reason resume is: epochs are pure
 //! functions of `(model, adam, epoch)`. The kill-worker fault in
 //! [`crate::fault::FaultPlan`] drives this path in `tests/dist_fault.rs`.

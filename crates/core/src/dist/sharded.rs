@@ -8,18 +8,21 @@
 //! keeps the model rows and Adam moments for those rows resident across
 //! epochs, and applies [`tcss_linalg::kernels::adam_update`] to them
 //! itself. The coordinator retains only what is not row-decomposable:
-//! the dense core `h`, the whole-data Gram tail, the Hausdorff head, the
-//! loss/norm folds, the divergence watchdog, and the checkpoints.
+//! the dense core `h`, the whole-data Gram tail, the Hausdorff head, and
+//! the loss/norm folds. `Fleet` is the guarded epoch driver's backend
+//! for this protocol (see [`crate::train`]): the driver keeps the
+//! watchdog, rollback, checkpoints and worker-loss recovery, and calls
+//! into the fleet to evaluate, commit, adopt and snapshot.
 //!
 //! # Per-epoch protocol (all frames per `[super::wire]`)
 //!
 //! 1. **StepOwned** broadcast (double-buffered encode; the plain
 //!    protocol's per-worker `U¹` read windows, with each worker's own
 //!    resident rows punched out — the worker splices those back from its
-//!    resident state, so rows it just updated never travel twice). With
-//!    `overlap` the coordinator computes its Gram + head tail right
-//!    here, concurrently with worker chunk evaluation — the tail depends
-//!    only on the broadcast model, so the knob cannot change any bits.
+//!    resident state, so rows it just updated never travel twice). The
+//!    coordinator computes its Gram + head tail right here, concurrently
+//!    with worker chunk evaluation — the tail depends only on the
+//!    broadcast model, so the overlap cannot change any bits.
 //! 2. Each worker evaluates its chunk block, splits every chunk's
 //!    touched rows by owner ([`crate::sparse_grads::OwnerSplit`]), sends
 //!    **ChunkStats** (per-chunk losses + dense `h` deltas) to the
@@ -46,8 +49,9 @@
 //! 5. The coordinator folds the loss (chunk losses in chunk order, then
 //!    the recorded Gram terms in emission order), the `h` gradient, and
 //!    the norm (factor-major, worker-ascending — the contiguous-run
-//!    decomposition of [`crate::loss::Grads::norm`]), runs the watchdog,
-//!    and broadcasts the **Verdict** with the effective learning rate
+//!    decomposition of [`crate::loss::Grads::norm`]) and hands them to
+//!    the guarded driver's watchdog. If it accepts, the coordinator
+//!    broadcasts the **Verdict** with the effective learning rate
 //!    (scaled once, so every peer steps with identical bits).
 //! 6. Workers advance their resident Adam state and ship **UpdatedRows**;
 //!    the coordinator splices them into the authoritative model while
@@ -64,13 +68,13 @@
 //! which a worker accepts at *any* receive point as a clean reset — the
 //! single-writer FIFO from the coordinator makes it an unambiguous
 //! barrier between attempts. Checkpoints stay worker-count-independent:
-//! at every checkpoint cadence point the coordinator gathers the resident
-//! moments (**SnapReq**/**SnapRows**) and saves the same full-model
-//! checkpoint the in-process trainer would, so tail-sharded, plain
-//! distributed, and single-process runs can resume each other's
+//! at every checkpoint cadence point the driver has the fleet gather the
+//! resident moments (**SnapReq**/**SnapRows**) and saves the same
+//! full-model checkpoint the in-process trainer would, so tail-sharded,
+//! plain distributed, and single-process runs can resume each other's
 //! checkpoints bit-for-bit. See DESIGN.md §5j for the full argument.
 
-use super::coordinator::{bind_socket, DistConfig, DistReport, SocketGuard, WorkerSlot};
+use super::coordinator::{DistConfig, Workers};
 use super::wire::{
     apply_exch, apply_snap_rows, apply_upd_rows, complete_frame_buffered, decode_chunk_stats,
     decode_norm_part, decode_snap_req, decode_step_owned, decode_tail_rows, decode_verdict,
@@ -83,20 +87,14 @@ use super::wire::{
     TAG_VERDICT, UPD_ROWS_BUSY_OFFSET,
 };
 use super::{busy_now_ns, read_frame, DistError};
-use crate::checkpoint::{config_fingerprint, load_checkpoint, save_checkpoint, Checkpoint};
 use crate::fault::FaultPlan;
-use crate::loss::{Grads, ENTRIES_PER_CHUNK};
+use crate::loss::Grads;
 use crate::model::TcssModel;
-use crate::model_io::ModelIoError;
 use crate::sparse_grads::{owned_range, OwnerSplit};
-use crate::train::{
-    divergence_trouble, model_is_finite, AdamState, TcssTrainer, TrainContext, TrainError,
-    TrainReport,
-};
+use crate::train::{AdamState, EpochBackend, Lost, TcssTrainer, TrainError};
 use crate::workspace::TrainWorkspace;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
 use std::sync::mpsc;
 use tcss_linalg::{kernels, Matrix};
 use tcss_sparse::SparseTensor3;
@@ -646,18 +644,12 @@ enum Wait {
     Upd,
 }
 
-/// How one epoch attempt over the fleet ended.
-enum Attempt {
-    Stepped { l2: f64, l1: f64 },
-    Diverged { detail: String },
-    Lost { worker: usize, detail: String },
-}
-
-struct Fleet<'a> {
-    trainer: &'a TcssTrainer,
-    dist: &'a DistConfig,
-    guard: SocketGuard,
-    slots: Vec<WorkerSlot>,
+/// The tail-sharded protocol's epoch backend.
+pub(super) struct Fleet<'a> {
+    pub(super) workers: Workers<'a>,
+    /// Consulted for the mid-exchange kill trigger, which fires inside
+    /// the relay.
+    faults: &'a FaultPlan,
     gens: Vec<u64>,
     tx: mpsc::Sender<Event>,
     rx: mpsc::Receiver<Event>,
@@ -675,20 +667,71 @@ struct Fleet<'a> {
     /// epochs; an abandoned attempt just clears them, so a lost worker's
     /// half-exchange never reaches anyone.
     relay_buf: Vec<Vec<u8>>,
-    bytes_sent: u64,
-    bytes_received: u64,
-    worker_busy_ns: Vec<u64>,
-    epochs_dispatched: u64,
-    respawns: u32,
+    ws: TrainWorkspace,
+    /// The coordinator tail of the epoch in flight (dense rows on head
+    /// epochs; just `tail.h` on Gram-only epochs).
+    tail: Grads,
+    /// The tail's Gram loss terms, folded into `l2` after the chunk
+    /// losses.
+    loss_terms: Vec<f64>,
+    /// The folded `h` gradient, held from evaluate to commit.
+    h_grad: Vec<f64>,
 }
 
-/// `Err` carries `(worker, detail)` of a lost worker — every transport
-/// failure inside an attempt is recoverable by respawn + rollback.
-type SendResult = Result<(), (usize, String)>;
+/// `Err` carries the lost worker — every transport failure inside an
+/// attempt is recoverable by respawn + rollback.
+type SendResult = Result<(), Lost>;
 
-impl Fleet<'_> {
+impl<'a> Fleet<'a> {
+    /// Spawn the fleet and one reader thread per worker. Every worker
+    /// waits for the driver's initial Adopt before its first Step.
+    pub(super) fn spawn(
+        trainer: &'a TcssTrainer,
+        dist: &'a DistConfig,
+        faults: &'a FaultPlan,
+        model: &TcssModel,
+    ) -> Result<Self, TrainError> {
+        let workers = Workers::spawn(trainer, dist)?;
+        let (tx, rx) = mpsc::channel();
+        for (src, slot) in workers.slots.iter().enumerate() {
+            spawn_reader(&slot.stream, src, 0, &tx)?;
+        }
+        let w = dist.workers;
+        let dims = trainer.tensor.dims();
+        let ranges: Vec<[(usize, usize); 3]> = (0..w)
+            .map(|i| {
+                [
+                    owned_range(dims.0, w, i),
+                    owned_range(dims.1, w, i),
+                    owned_range(dims.2, w, i),
+                ]
+            })
+            .collect();
+        let row_counts = ranges
+            .iter()
+            .map(|rg| [rg[0].1 - rg[0].0, rg[1].1 - rg[1].0, rg[2].1 - rg[2].0])
+            .collect();
+        Ok(Fleet {
+            workers,
+            faults,
+            gens: vec![0; w],
+            tx,
+            rx,
+            ranges,
+            row_counts,
+            rank: trainer.config.rank,
+            gather: Gather::default(),
+            fbuf: FrameBuf::new(),
+            relay_buf: Vec::new(),
+            ws: TrainWorkspace::new(),
+            tail: Grads::zeros(model),
+            loss_terms: Vec::new(),
+            h_grad: Vec::new(),
+        })
+    }
+
     fn w(&self) -> usize {
-        self.slots.len()
+        self.workers.slots.len()
     }
 
     fn gather_reset(&mut self) {
@@ -707,9 +750,9 @@ impl Fleet<'_> {
     /// Frame whatever was just encoded into `self.fbuf` and send it.
     fn send_built(&mut self, dest: usize) -> SendResult {
         let frame = self.fbuf.finish();
-        match self.slots[dest].stream.write_all(frame) {
+        match self.workers.slots[dest].stream.write_all(frame) {
             Ok(()) => {
-                self.bytes_sent += frame.len() as u64;
+                self.workers.bytes_sent += frame.len() as u64;
                 Ok(())
             }
             Err(e) => Err((dest, format!("write failed: {e}"))),
@@ -720,9 +763,9 @@ impl Fleet<'_> {
     /// TailRows barrier appended by the caller) in a single write.
     fn send_pending(&mut self, dest: usize) -> SendResult {
         let buf = std::mem::take(&mut self.relay_buf[dest]);
-        let sent = self.slots[dest].stream.write_all(&buf);
+        let sent = self.workers.slots[dest].stream.write_all(&buf);
         if sent.is_ok() {
-            self.bytes_sent += buf.len() as u64;
+            self.workers.bytes_sent += buf.len() as u64;
         }
         self.relay_buf[dest] = buf;
         self.relay_buf[dest].clear();
@@ -758,13 +801,13 @@ impl Fleet<'_> {
 
     /// Process events until `wait` completes, relaying exchanges and
     /// filling accept slots as frames arrive.
-    fn pump(&mut self, epoch: u64, faults: &FaultPlan, wait: Wait) -> SendResult {
+    fn pump(&mut self, epoch: u64, wait: Wait) -> SendResult {
         while !self.wait_done(&wait) {
             match self.next_event() {
                 Event::Lost { src, detail, .. } => return Err((src, detail)),
                 Event::Frames { src, batch, .. } => {
                     for raw in batch {
-                        self.handle_frame(src, raw, epoch, faults)?;
+                        self.handle_frame(src, raw, epoch)?;
                     }
                 }
             }
@@ -772,14 +815,8 @@ impl Fleet<'_> {
         Ok(())
     }
 
-    fn handle_frame(
-        &mut self,
-        src: usize,
-        raw: Vec<u8>,
-        epoch: u64,
-        faults: &FaultPlan,
-    ) -> SendResult {
-        self.bytes_received += raw.len() as u64;
+    fn handle_frame(&mut self, src: usize, raw: Vec<u8>, epoch: u64) -> SendResult {
+        self.workers.bytes_received += raw.len() as u64;
         let w = self.w();
         let payload = raw_frame_payload(&raw);
         let tag = tag_of(payload).map_err(|e| (src, format!("corrupt frame: {e}")))?;
@@ -799,8 +836,8 @@ impl Fleet<'_> {
                     self.relay_buf[d].extend_from_slice(&raw);
                     // The mid-exchange kill fires once some of the
                     // victim's deltas are verifiably staged for relay.
-                    if faults.take_kill_mid_exchange(epoch as usize, s) {
-                        let _ = self.slots[s].child.kill();
+                    if self.faults.take_kill_mid_exchange(epoch as usize, s) {
+                        let _ = self.workers.slots[s].child.kill();
                     }
                 }
                 Ok(())
@@ -816,7 +853,8 @@ impl Fleet<'_> {
                 }
                 match tag {
                     TAG_CHUNK_STATS if self.gather.stats[src].is_none() => {
-                        let expect = self.slots[src].chunk_end - self.slots[src].chunk_start;
+                        let expect =
+                            self.workers.slots[src].chunk_end - self.workers.slots[src].chunk_start;
                         let (_, losses, h) = decode_chunk_stats(payload, epoch, self.rank)
                             .map_err(|e| (src, format!("corrupt chunk stats: {e}")))?;
                         if losses.len() != expect {
@@ -847,11 +885,173 @@ impl Fleet<'_> {
             other => Err((src, format!("unexpected tag {other} from worker"))),
         }
     }
+}
+
+impl EpochBackend for Fleet<'_> {
+    /// Steps 1–6 of the per-epoch protocol (module docs): broadcast,
+    /// coordinator tail, relay, TailRows barrier, loss/`h` fold, and norm
+    /// fold. Workers are left waiting for the Verdict (`commit`)
+    /// or an Adopt, which discards the attempt. Any transport failure or
+    /// decode error surfaces as the [`Lost`] worker.
+    fn evaluate(&mut self, epoch: usize, model: &TcssModel) -> Result<(f64, f64, f64), Lost> {
+        let trainer = self.workers.trainer;
+        let ep = epoch as u64;
+        let w = self.w();
+        self.workers.epochs_dispatched += 1;
+        self.gather_reset();
+
+        // 1. Step broadcast — the plain protocol's per-worker U¹ windows,
+        // minus each worker's resident owned rows (StepOwned hole).
+        for dest in 0..w {
+            let (u1_lo, u1_hi) = (
+                self.workers.slots[dest].u1_lo,
+                self.workers.slots[dest].u1_hi,
+            );
+            encode_step_owned_into(
+                self.fbuf.payload(),
+                ep,
+                model,
+                u1_lo,
+                u1_hi,
+                self.ranges[dest][0],
+            );
+            self.send_built(dest)?;
+        }
+
+        // 2. The coordinator tail, overlapped with worker evaluation
+        // (reader threads keep draining meanwhile; the tail depends only
+        // on the broadcast model, so the overlap never moves a bit). On
+        // Gram-only epochs the coordinator computes just the `r × r` D
+        // matrices (plus loss terms and the `h` tail, into `tail.h`) and
+        // skips the dense factor matmuls entirely — the workers rebuild
+        // their owned rows from the broadcast D.
+        let active = trainer.tail_active(epoch);
+        let mut l1 = 0.0;
+        let dmats = if active && trainer.tail_gram_only(epoch) {
+            Some(trainer.epoch_tail_gram(model, &mut self.loss_terms, &mut self.tail.h))
+        } else {
+            l1 = trainer.epoch_tail_deferred(
+                model,
+                epoch,
+                &self.ws,
+                &mut self.tail,
+                &mut self.loss_terms,
+            );
+            None
+        };
+
+        // 3. Chunk stats + full exchange relay.
+        self.pump(ep, Wait::StatsAndRelays)?;
+
+        // 4. TailRows: the exchange barrier plus the owned tail — dense
+        // slices on head epochs, the shared D matrices otherwise. Each
+        // worker's buffered relays and its TailRows frame go out in one
+        // write, preserving the relays-then-barrier FIFO order.
+        let r = self.rank;
+        for dest in 0..w {
+            let rg = self.ranges[dest];
+            let p = self.fbuf.payload();
+            if !active {
+                encode_tail_inactive_into(p, ep);
+            } else if let Some(d) = &dmats {
+                encode_tail_gram_into(p, ep, d);
+            } else {
+                encode_tail_rows_into(
+                    p,
+                    ep,
+                    [
+                        &self.tail.u1.as_slice()[rg[0].0 * r..rg[0].1 * r],
+                        &self.tail.u2.as_slice()[rg[1].0 * r..rg[1].1 * r],
+                        &self.tail.u3.as_slice()[rg[2].0 * r..rg[2].1 * r],
+                    ],
+                );
+            }
+            self.relay_buf[dest].extend_from_slice(self.fbuf.finish());
+            self.send_pending(dest)?;
+        }
+
+        // 5. Fold the loss and the h gradient: chunk losses in ascending
+        // chunk order, then the deferred Gram terms in emission order —
+        // the exact in-process accumulator sequence.
+        let mut l2 = 0.0;
+        for src in 0..w {
+            let (losses, _) = self.gather.stats[src].as_ref().expect("pump completed");
+            for &chunk_loss in losses {
+                l2 += chunk_loss;
+            }
+        }
+        for &term in &self.loss_terms {
+            l2 += term;
+        }
+        self.h_grad.clear();
+        self.h_grad.resize(r, 0.0);
+        for src in 0..w {
+            let (_, h) = self.gather.stats[src].as_ref().expect("pump completed");
+            for chunk in h.chunks_exact(r) {
+                for (d, s) in self.h_grad.iter_mut().zip(chunk) {
+                    *d += *s;
+                }
+            }
+        }
+        if active {
+            kernels::axpy(1.0, &self.tail.h, &mut self.h_grad);
+        }
+
+        // 6. Norm fold (factor-major, worker-ascending, then `h`).
+        self.pump(ep, Wait::Norm)?;
+        let mut acc = 0.0;
+        for f in 0..3 {
+            for src in 0..w {
+                let dots = &self.gather.norm[src].as_ref().expect("pump completed")[f];
+                Grads::norm_fold_rows(&mut acc, dots);
+            }
+        }
+        acc += kernels::dot(&self.h_grad, &self.h_grad);
+        Ok((l2, l1, acc.sqrt()))
+    }
+
+    /// Steps 7–8: the Verdict with the effective learning rate (scaled
+    /// once by the driver, so every peer steps with identical bits), the
+    /// coordinator's own `h` step, and the splice of the worker-stepped
+    /// rows into the authoritative model.
+    fn commit(
+        &mut self,
+        epoch: usize,
+        model: &mut TcssModel,
+        adam: &mut AdamState,
+        lr: f64,
+    ) -> SendResult {
+        let ep = epoch as u64;
+        for dest in 0..self.w() {
+            encode_verdict_into(self.fbuf.payload(), ep, lr);
+            self.send_built(dest)?;
+        }
+        adam.t += 1;
+        let weight_decay = self.workers.trainer.config.weight_decay;
+        let p = kernels::AdamParams::for_step(lr, weight_decay, adam.t);
+        kernels::adam_update(&mut model.h, &self.h_grad, &mut adam.m.h, &mut adam.v.h, &p);
+
+        self.pump(ep, Wait::Upd)?;
+        let r = self.rank;
+        for src in 0..self.w() {
+            let raw = self.gather.upd[src].take().expect("pump completed");
+            let rg = self.ranges[src];
+            let dests = [
+                &mut model.u1.as_mut_slice()[rg[0].0 * r..rg[0].1 * r],
+                &mut model.u2.as_mut_slice()[rg[1].0 * r..rg[1].1 * r],
+                &mut model.u3.as_mut_slice()[rg[2].0 * r..rg[2].1 * r],
+            ];
+            let busy_ns = apply_upd_rows(raw_frame_payload(&raw), ep, dests)
+                .map_err(|e| (src, format!("corrupt updated rows: {e}")))?;
+            self.workers.worker_busy_ns[src] += busy_ns;
+        }
+        Ok(())
+    }
 
     /// Re-install every worker's owned-range state (initial handshake,
     /// rollback, respawn). The FIFO stream makes this a clean reset at
     /// any worker receive point.
-    fn adopt_all(&mut self, epoch: usize, model: &TcssModel, adam: &AdamState) -> SendResult {
+    fn adopt(&mut self, epoch: usize, model: &TcssModel, adam: &AdamState) -> SendResult {
         let r = self.rank;
         for dest in 0..self.w() {
             let rg = self.ranges[dest];
@@ -878,198 +1078,12 @@ impl Fleet<'_> {
         Ok(())
     }
 
-    /// One epoch attempt over the fleet. Any transport failure or decode
-    /// error surfaces as [`Attempt::Lost`] for respawn + rollback.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt(
-        &mut self,
-        epoch: usize,
-        model: &mut TcssModel,
-        adam: &mut AdamState,
-        ws: &TrainWorkspace,
-        tail: &mut Grads,
-        loss_terms: &mut Vec<f64>,
-        h_grad: &mut Vec<f64>,
-        lr_scale: f64,
-        faults: &FaultPlan,
-    ) -> Attempt {
-        let trainer = self.trainer;
-        let cfg = &trainer.config;
-        let ep = epoch as u64;
-        let w = self.w();
-        self.gather_reset();
-
-        // 1. Step broadcast — the plain protocol's per-worker U¹ windows,
-        // minus each worker's resident owned rows (StepOwned hole).
-        for dest in 0..w {
-            let (u1_lo, u1_hi) = (self.slots[dest].u1_lo, self.slots[dest].u1_hi);
-            encode_step_owned_into(
-                self.fbuf.payload(),
-                ep,
-                model,
-                u1_lo,
-                u1_hi,
-                self.ranges[dest][0],
-            );
-            if let Err((worker, detail)) = self.send_built(dest) {
-                return Attempt::Lost { worker, detail };
-            }
-        }
-
-        // 2. The coordinator tail, overlapped with worker evaluation when
-        // configured (reader threads keep draining either way, so the
-        // knob only moves *when* relays happen — never what any peer
-        // computes). On Gram-only epochs the coordinator computes just
-        // the `r × r` D matrices (plus loss terms and the `h` tail, into
-        // `tail.h`) and skips the dense factor matmuls entirely — the
-        // workers rebuild their owned rows from the broadcast D.
-        let active = trainer.tail_active(epoch);
-        let gram = active && trainer.tail_gram_only(epoch);
-        let mut l1 = 0.0;
-        let mut dmats: Option<[Matrix; 3]> = None;
-        let mut tail_done = false;
-        if self.dist.overlap {
-            if gram {
-                dmats = Some(trainer.epoch_tail_gram(model, loss_terms, &mut tail.h));
-            } else {
-                l1 = trainer.epoch_tail_deferred(model, epoch, ws, tail, loss_terms);
-            }
-            tail_done = true;
-        }
-
-        // 3. Chunk stats + full exchange relay.
-        if let Err((worker, detail)) = self.pump(ep, faults, Wait::StatsAndRelays) {
-            return Attempt::Lost { worker, detail };
-        }
-        if !tail_done {
-            if gram {
-                dmats = Some(trainer.epoch_tail_gram(model, loss_terms, &mut tail.h));
-            } else {
-                l1 = trainer.epoch_tail_deferred(model, epoch, ws, tail, loss_terms);
-            }
-        }
-
-        // 4. TailRows: the exchange barrier plus the owned tail — dense
-        // slices on head epochs, the shared D matrices otherwise. Each
-        // worker's buffered relays and its TailRows frame go out in one
-        // write, preserving the relays-then-barrier FIFO order.
-        let r = self.rank;
-        for dest in 0..w {
-            let rg = self.ranges[dest];
-            let p = self.fbuf.payload();
-            if !active {
-                encode_tail_inactive_into(p, ep);
-            } else if let Some(d) = &dmats {
-                encode_tail_gram_into(p, ep, d);
-            } else {
-                encode_tail_rows_into(
-                    p,
-                    ep,
-                    [
-                        &tail.u1.as_slice()[rg[0].0 * r..rg[0].1 * r],
-                        &tail.u2.as_slice()[rg[1].0 * r..rg[1].1 * r],
-                        &tail.u3.as_slice()[rg[2].0 * r..rg[2].1 * r],
-                    ],
-                );
-            }
-            self.relay_buf[dest].extend_from_slice(self.fbuf.finish());
-            if let Err((worker, detail)) = self.send_pending(dest) {
-                return Attempt::Lost { worker, detail };
-            }
-        }
-
-        // 5. Fold the loss and the h gradient: chunk losses in ascending
-        // chunk order, then the deferred Gram terms in emission order —
-        // the exact in-process accumulator sequence.
-        let mut l2 = 0.0;
-        for src in 0..w {
-            let (losses, _) = self.gather.stats[src].as_ref().expect("pump completed");
-            for &chunk_loss in losses {
-                l2 += chunk_loss;
-            }
-        }
-        for &term in loss_terms.iter() {
-            l2 += term;
-        }
-        h_grad.clear();
-        h_grad.resize(r, 0.0);
-        for src in 0..w {
-            let (_, h) = self.gather.stats[src].as_ref().expect("pump completed");
-            for chunk in h.chunks_exact(r) {
-                for (d, s) in h_grad.iter_mut().zip(chunk) {
-                    *d += *s;
-                }
-            }
-        }
-        if active {
-            kernels::axpy(1.0, &tail.h, h_grad);
-        }
-
-        // 6. Norm fold + watchdog.
-        if let Err((worker, detail)) = self.pump(ep, faults, Wait::Norm) {
-            return Attempt::Lost { worker, detail };
-        }
-        let mut acc = 0.0;
-        for f in 0..3 {
-            for src in 0..w {
-                let dots = &self.gather.norm[src].as_ref().expect("pump completed")[f];
-                Grads::norm_fold_rows(&mut acc, dots);
-            }
-        }
-        acc += kernels::dot(h_grad, h_grad);
-        let mut gnorm = acc.sqrt();
-        if faults.take_poison(epoch) {
-            // The plain path NaN-fills the merged gradient buffer; here
-            // the buffers live on the workers, so poison the fold — the
-            // same watchdog trips and the poisoned attempt is discarded
-            // whole, leaving an identical post-rollback trajectory.
-            gnorm = f64::NAN;
-        }
-        if let Some(detail) = divergence_trouble(cfg, l2, l1, gnorm) {
-            return Attempt::Diverged { detail };
-        }
-
-        // 7. Verdict + the coordinator's own h step.
-        let lr_eff = cfg.learning_rate * lr_scale;
-        for dest in 0..w {
-            encode_verdict_into(self.fbuf.payload(), ep, lr_eff);
-            if let Err((worker, detail)) = self.send_built(dest) {
-                return Attempt::Lost { worker, detail };
-            }
-        }
-        adam.t += 1;
-        let p = kernels::AdamParams::for_step(lr_eff, cfg.weight_decay, adam.t);
-        kernels::adam_update(&mut model.h, h_grad, &mut adam.m.h, &mut adam.v.h, &p);
-
-        // 8. Splice the worker-stepped rows into the authoritative model.
-        if let Err((worker, detail)) = self.pump(ep, faults, Wait::Upd) {
-            return Attempt::Lost { worker, detail };
-        }
-        for src in 0..w {
-            let raw = self.gather.upd[src].take().expect("pump completed");
-            let rg = self.ranges[src];
-            let dests = [
-                &mut model.u1.as_mut_slice()[rg[0].0 * r..rg[0].1 * r],
-                &mut model.u2.as_mut_slice()[rg[1].0 * r..rg[1].1 * r],
-                &mut model.u3.as_mut_slice()[rg[2].0 * r..rg[2].1 * r],
-            ];
-            match apply_upd_rows(raw_frame_payload(&raw), ep, dests) {
-                Ok(busy_ns) => self.worker_busy_ns[src] += busy_ns,
-                Err(e) => {
-                    return Attempt::Lost {
-                        worker: src,
-                        detail: format!("corrupt updated rows: {e}"),
-                    }
-                }
-            }
-        }
-        Attempt::Stepped { l2, l1 }
-    }
-
     /// Gather the resident moments into `adam` so checkpoints stay
-    /// worker-count-independent. `label` is the completed-epoch count,
-    /// matching [`Checkpoint::epoch`].
-    fn snap(&mut self, label: u64, adam: &mut AdamState) -> SendResult {
+    /// worker-count-independent. `epoch` is the completed-epoch count,
+    /// matching [`crate::checkpoint::Checkpoint::epoch`]; it labels the
+    /// request so stale replies from an aborted gather are skipped.
+    fn sync_moments(&mut self, epoch: usize, adam: &mut AdamState) -> SendResult {
+        let label = epoch as u64;
         let w = self.w();
         for dest in 0..w {
             encode_snap_req_into(self.fbuf.payload(), label);
@@ -1083,7 +1097,7 @@ impl Fleet<'_> {
                 Event::Frames { src, batch, .. } => (src, batch),
             };
             for raw in batch {
-                self.bytes_received += raw.len() as u64;
+                self.workers.bytes_received += raw.len() as u64;
                 let payload = raw_frame_payload(&raw);
                 let tag = tag_of(payload).map_err(|e| (src, format!("corrupt frame: {e}")))?;
                 if tag != TAG_SNAP_ROWS {
@@ -1116,314 +1130,30 @@ impl Fleet<'_> {
         Ok(())
     }
 
-    fn shutdown(&mut self) {
-        self.trainer.shutdown_fleet(&mut self.slots);
+    fn kill(&mut self, worker: usize) {
+        self.workers.kill(worker);
     }
-}
 
-/// Respawn a lost worker, roll the run back to its last checkpoint, and
-/// re-Adopt the whole fleet; loops if the Adopt broadcast itself loses
-/// another worker. Consumes one respawn-budget unit per loss.
-#[allow(clippy::too_many_arguments)]
-fn recover(
-    fleet: &mut Fleet<'_>,
-    checkpoint_path: &Option<PathBuf>,
-    last_good: &(TcssModel, AdamState, usize),
-    model: &mut TcssModel,
-    adam: &mut AdamState,
-    epoch: &mut usize,
-    lr_scale: &mut f64,
-    retries: &mut u32,
-    mut lost: (usize, String),
-) -> Result<(), TrainError> {
-    loop {
-        let (worker, detail) = lost;
-        fleet.respawns += 1;
-        if fleet.respawns > fleet.dist.max_respawns {
-            fleet.shutdown();
-            return Err(TrainError::Dist(DistError::RespawnBudgetExhausted {
-                worker,
-                epoch: *epoch,
-                respawns: fleet.respawns,
-                detail,
-            }));
-        }
-        let trainer = fleet.trainer;
-        let dist = fleet.dist;
-        let (chunk_start, chunk_end) = (
-            fleet.slots[worker].chunk_start,
-            fleet.slots[worker].chunk_end,
-        );
-        let _ = fleet.slots[worker].child.kill();
-        let _ = fleet.slots[worker].child.wait();
-        // Invalidate the dead worker's reader before its replacement
-        // starts producing events.
-        fleet.gens[worker] += 1;
-        fleet.slots[worker] =
-            trainer.spawn_worker(dist, &fleet.guard, worker, chunk_start, chunk_end)?;
+    /// Respawn worker `worker` and give the replacement a fresh reader;
+    /// the dead worker's reader is invalidated first, so none of its
+    /// trailing events can reach the new generation.
+    fn replace(&mut self, worker: usize) -> Result<(), TrainError> {
+        self.gens[worker] += 1;
+        self.workers.respawn(worker)?;
         spawn_reader(
-            &fleet.slots[worker].stream,
+            &self.workers.slots[worker].stream,
             worker,
-            fleet.gens[worker],
-            &fleet.tx,
+            self.gens[worker],
+            &self.tx,
         )?;
-        // Same restore policy as the plain protocol: the on-disk
-        // checkpoint when checkpointing is enabled, else the in-memory
-        // rollback snapshot — refreshed at the same cadence points, so
-        // identical states.
-        match checkpoint_path.as_ref().filter(|p| p.exists()) {
-            Some(path) => {
-                let ck = load_checkpoint(path)?;
-                *model = ck.model;
-                *adam = AdamState {
-                    m: ck.m,
-                    v: ck.v,
-                    t: ck.adam_t,
-                };
-                *epoch = ck.epoch;
-                *lr_scale = ck.lr_scale;
-                *retries = ck.retries;
-            }
-            None => {
-                *model = last_good.0.clone();
-                *adam = last_good.1.clone();
-                *epoch = last_good.2;
-            }
-        }
-        match fleet.adopt_all(*epoch, model, adam) {
-            Ok(()) => return Ok(()),
-            Err(next_lost) => lost = next_lost,
-        }
-    }
-}
-
-/// Tail-sharded counterpart of
-/// [`TcssTrainer::train_distributed_with_faults`], dispatched from it
-/// when [`DistConfig::tail_shard`] is set. Same guarantees, same bits —
-/// the serial coordinator tail replaced by the owner-computes protocol
-/// described in the module docs.
-pub(super) fn train_tail_sharded(
-    trainer: &TcssTrainer,
-    dist: &DistConfig,
-    faults: &FaultPlan,
-    on_epoch: &mut dyn FnMut(TrainContext),
-) -> Result<DistReport, TrainError> {
-    let cfg = &trainer.config;
-    let fingerprint = config_fingerprint(cfg);
-    let n_entries = trainer.tensor.entries().len();
-    let n_chunks = tcss_linalg::chunk_count(n_entries, ENTRIES_PER_CHUNK);
-    let w = dist.workers;
-    let dims = trainer.tensor.dims();
-    let blocks: Vec<(usize, usize)> = (0..w)
-        .map(|i| (i * n_chunks / w, (i + 1) * n_chunks / w))
-        .collect();
-
-    let guard = bind_socket(dist)?;
-    let mut slots: Vec<WorkerSlot> = Vec::with_capacity(w);
-    for (worker, &(chunk_start, chunk_end)) in blocks.iter().enumerate() {
-        slots.push(trainer.spawn_worker(dist, &guard, worker, chunk_start, chunk_end)?);
-    }
-    let (tx, rx) = mpsc::channel();
-    for (src, slot) in slots.iter().enumerate() {
-        spawn_reader(&slot.stream, src, 0, &tx)?;
-    }
-    let ranges: Vec<[(usize, usize); 3]> = (0..w)
-        .map(|i| {
-            [
-                owned_range(dims.0, w, i),
-                owned_range(dims.1, w, i),
-                owned_range(dims.2, w, i),
-            ]
-        })
-        .collect();
-    let row_counts = ranges
-        .iter()
-        .map(|rg| [rg[0].1 - rg[0].0, rg[1].1 - rg[1].0, rg[2].1 - rg[2].0])
-        .collect();
-    let mut fleet = Fleet {
-        trainer,
-        dist,
-        guard,
-        slots,
-        gens: vec![0; w],
-        tx,
-        rx,
-        ranges,
-        row_counts,
-        rank: cfg.rank,
-        gather: Gather::default(),
-        fbuf: FrameBuf::new(),
-        relay_buf: Vec::new(),
-        bytes_sent: 0,
-        bytes_received: 0,
-        worker_busy_ns: vec![0; w],
-        epochs_dispatched: 0,
-        respawns: 0,
-    };
-
-    // --- Run state: identical to the in-process checkpointed loop ------
-    let (mut model, mut adam, start_epoch, mut lr_scale, mut retries) =
-        trainer.init_run_state(fingerprint)?;
-    let mut last_good = (model.clone(), adam.clone(), start_epoch);
-    let checkpoint_path = cfg
-        .checkpoint_dir
-        .as_ref()
-        .map(|dir| dir.join(crate::checkpoint::CHECKPOINT_FILE));
-    if let Some(dir) = &cfg.checkpoint_dir {
-        std::fs::create_dir_all(dir).map_err(|e| TrainError::Checkpoint(ModelIoError::Fs(e)))?;
+        Ok(())
     }
 
-    let ws = TrainWorkspace::new();
-    let mut tail = Grads::zeros(&model);
-    let mut loss_terms: Vec<f64> = Vec::new();
-    let mut h_grad: Vec<f64> = Vec::new();
-    let mut epoch = start_epoch;
-
-    // Every worker starts by adopting its owned-range state.
-    if let Err(lost) = fleet.adopt_all(epoch, &model, &adam) {
-        recover(
-            &mut fleet,
-            &checkpoint_path,
-            &last_good,
-            &mut model,
-            &mut adam,
-            &mut epoch,
-            &mut lr_scale,
-            &mut retries,
-            lost,
-        )?;
+    fn max_respawns(&self) -> u32 {
+        self.workers.dist.max_respawns
     }
 
-    while epoch < cfg.epochs {
-        if faults.take_crash(epoch) {
-            fleet.shutdown();
-            return Err(TrainError::InjectedCrash { epoch });
-        }
-        if let Some(victim) = faults.take_kill_worker(epoch) {
-            if let Some(slot) = fleet.slots.get_mut(victim) {
-                let _ = slot.child.kill();
-                let _ = slot.child.wait();
-            }
-        }
-
-        fleet.epochs_dispatched += 1;
-        let epoch_sent0 = fleet.bytes_sent;
-        let epoch_recv0 = fleet.bytes_received;
-        match fleet.attempt(
-            epoch,
-            &mut model,
-            &mut adam,
-            &ws,
-            &mut tail,
-            &mut loss_terms,
-            &mut h_grad,
-            lr_scale,
-            faults,
-        ) {
-            Attempt::Lost { worker, detail } => {
-                recover(
-                    &mut fleet,
-                    &checkpoint_path,
-                    &last_good,
-                    &mut model,
-                    &mut adam,
-                    &mut epoch,
-                    &mut lr_scale,
-                    &mut retries,
-                    (worker, detail),
-                )?;
-            }
-            Attempt::Diverged { detail } => {
-                retries += 1;
-                if retries > cfg.max_retries {
-                    fleet.shutdown();
-                    return Err(TrainError::Diverged {
-                        epoch,
-                        retries,
-                        detail,
-                    });
-                }
-                lr_scale *= cfg.lr_backoff;
-                model = last_good.0.clone();
-                adam = last_good.1.clone();
-                epoch = last_good.2;
-                // The rollback reset: workers abandon the poisoned
-                // attempt wherever they are waiting.
-                if let Err(lost) = fleet.adopt_all(epoch, &model, &adam) {
-                    recover(
-                        &mut fleet,
-                        &checkpoint_path,
-                        &last_good,
-                        &mut model,
-                        &mut adam,
-                        &mut epoch,
-                        &mut lr_scale,
-                        &mut retries,
-                        lost,
-                    )?;
-                }
-            }
-            Attempt::Stepped { l2, l1 } => {
-                on_epoch(TrainContext {
-                    epoch,
-                    l2,
-                    l1,
-                    bytes_sent: fleet.bytes_sent - epoch_sent0,
-                    bytes_received: fleet.bytes_received - epoch_recv0,
-                });
-                epoch += 1;
-
-                let due = epoch.is_multiple_of(cfg.checkpoint_every) || epoch == cfg.epochs;
-                if due {
-                    if let Err(lost) = fleet.snap(epoch as u64, &mut adam) {
-                        recover(
-                            &mut fleet,
-                            &checkpoint_path,
-                            &last_good,
-                            &mut model,
-                            &mut adam,
-                            &mut epoch,
-                            &mut lr_scale,
-                            &mut retries,
-                            lost,
-                        )?;
-                        continue;
-                    }
-                    if model_is_finite(&model) {
-                        last_good = (model.clone(), adam.clone(), epoch);
-                        if let Some(path) = &checkpoint_path {
-                            let ck = Checkpoint {
-                                epoch,
-                                adam_t: adam.t,
-                                lr_scale,
-                                retries,
-                                seed: cfg.seed,
-                                fingerprint,
-                                model: model.clone(),
-                                m: adam.m.clone(),
-                                v: adam.v.clone(),
-                            };
-                            save_checkpoint(&ck, path)?;
-                        }
-                    }
-                }
-            }
-        }
+    fn traffic(&self) -> (u64, u64) {
+        (self.workers.bytes_sent, self.workers.bytes_received)
     }
-
-    fleet.shutdown();
-    Ok(DistReport {
-        report: TrainReport {
-            model,
-            start_epoch,
-            rollbacks: retries,
-            lr_scale,
-        },
-        workers: w,
-        respawns: fleet.respawns,
-        bytes_sent: fleet.bytes_sent,
-        bytes_received: fleet.bytes_received,
-        worker_busy_ns: fleet.worker_busy_ns,
-        epochs_dispatched: fleet.epochs_dispatched,
-    })
 }

@@ -1,13 +1,17 @@
 //! Deterministic fault injection for the fault-tolerance test suites.
 //!
 //! Production code never constructs faults; the harness exists so the
-//! recovery paths of [`crate::train::TcssTrainer::train_with_faults`] can
-//! be driven through real failures in tests instead of being trusted on
+//! recovery paths of the guarded epoch driver (behind
+//! [`crate::train::TcssTrainer::train_with_faults`] and
+//! [`crate::train::TcssTrainer::train_distributed_with_faults`]) can be
+//! driven through real failures in tests instead of being trusted on
 //! inspection:
 //!
-//! * **Poisoned gradients** — at a chosen epoch, every gradient buffer is
-//!   overwritten with NaN exactly once, which must trip the divergence
-//!   watchdog and trigger a rollback with learning-rate backoff.
+//! * **Poisoned gradients** — at a chosen epoch, the gradient norm is
+//!   reported as NaN exactly once (the canonical numerical hazard: one bad
+//!   division upstream poisons the whole update), which must trip the
+//!   divergence watchdog and trigger a rollback with learning-rate
+//!   backoff — identically in process and over either worker protocol.
 //! * **Simulated crash** — reaching a chosen epoch aborts the run with
 //!   [`crate::train::TrainError::InjectedCrash`] *before* that epoch's
 //!   work, modelling a `kill -9` between epochs; resuming from the last
@@ -19,7 +23,6 @@
 //! Every fault is keyed to a deterministic trigger (an epoch index or a
 //! byte offset), so failing tests replay identically.
 
-use crate::loss::Grads;
 use std::cell::Cell;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
@@ -45,7 +48,7 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Overwrite the gradients computed at `epoch` with NaN, once.
+    /// Report the gradient norm of `epoch` as NaN, once.
     pub fn poison_gradients_at(epoch: usize) -> Self {
         FaultPlan {
             poison_at: Cell::new(Some(epoch)),
@@ -131,20 +134,6 @@ impl FaultPlan {
         } else {
             false
         }
-    }
-}
-
-/// Overwrite every gradient buffer with NaN (the canonical numerical
-/// hazard of the generalized-loss literature: one bad division upstream
-/// poisons the whole update).
-pub(crate) fn poison(grads: &mut Grads) {
-    for m in [&mut grads.u1, &mut grads.u2, &mut grads.u3] {
-        for v in m.as_mut_slice() {
-            *v = f64::NAN;
-        }
-    }
-    for v in &mut grads.h {
-        *v = f64::NAN;
     }
 }
 

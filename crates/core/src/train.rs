@@ -1,21 +1,27 @@
 //! Joint training: `L = λ·L₁ + L₂` with Adam (paper Eq 20, §V-D).
 //!
-//! Two training entry points share one epoch kernel:
+//! Every training entry point is a thin call into one guarded epoch
+//! driver (`TcssTrainer::drive`), which owns the divergence watchdog
+//! (rollback to the last good state with learning-rate backoff instead
+//! of emitting garbage factors), atomic versioned checkpoints (see
+//! [`crate::checkpoint`]), resume via `TcssConfig::resume_from` with a
+//! bit-for-bit identity guarantee, and worker-loss recovery. Under it an
+//! `EpochBackend` evaluates and applies epochs:
 //!
-//! * [`TcssTrainer::train`] / [`TcssTrainer::train_detailed`] — the plain
-//!   loop, unchanged semantics.
-//! * [`TcssTrainer::train_with_checkpoints`] — the fault-tolerant runtime:
-//!   atomic versioned checkpoints (see [`crate::checkpoint`]), resume via
-//!   `TcssConfig::resume_from` with a bit-for-bit identity guarantee, and
-//!   a divergence watchdog that rolls back to the last good state with
-//!   learning-rate backoff instead of emitting garbage factors.
+//! * in process — [`TcssTrainer::train`], [`TcssTrainer::train_detailed`]
+//!   and [`TcssTrainer::train_model`] (fresh Adam, checkpoints off), and
+//!   [`TcssTrainer::train_with_checkpoints`] /
+//!   [`TcssTrainer::train_with_faults`] (the configured run);
+//! * over worker processes — `train_distributed` and
+//!   `train_distributed_with_faults` ([`crate::dist`]), with the plain or
+//!   the tail-sharded protocol.
 
 use crate::checkpoint::{
     config_fingerprint, load_checkpoint, save_checkpoint, Checkpoint, CHECKPOINT_FILE,
 };
 use crate::config::{HausdorffVariant, InitMethod, LossStrategy, TcssConfig};
 use crate::dist::DistError;
-use crate::fault::{poison, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::hausdorff::SocialHausdorffHead;
 use crate::init::{onehot_init, random_init, spectral_init};
 use crate::loss::{negative_sampling_loss_and_grad_ws, rewritten_entry_loss_ws, Grads};
@@ -105,7 +111,7 @@ pub struct TrainReport {
 }
 
 /// Adam state over a [`Grads`]-shaped parameter space. `pub(crate)` so the
-/// distributed coordinator ([`crate::dist`]) can run the exact same
+/// distributed backends ([`crate::dist`]) can run the exact same
 /// optimizer over worker-gathered gradients.
 #[derive(Clone)]
 pub(crate) struct AdamState {
@@ -188,19 +194,6 @@ pub struct TrainContext {
     /// Bytes the distributed coordinator read from worker sockets during
     /// this epoch (0 for in-process training).
     pub bytes_received: u64,
-}
-
-impl TrainContext {
-    /// An in-process epoch context (no socket traffic).
-    pub(crate) fn local(epoch: usize, l2: f64, l1: f64) -> Self {
-        TrainContext {
-            epoch,
-            l2,
-            l1,
-            bytes_sent: 0,
-            bytes_received: 0,
-        }
-    }
 }
 
 impl TcssTrainer {
@@ -324,9 +317,8 @@ impl TcssTrainer {
         model
     }
 
-    /// One epoch's losses and joint gradient — the kernel shared by every
-    /// training loop, so the plain and checkpointed paths cannot drift
-    /// apart numerically. Zeroes and refills the caller's `grads` buffer
+    /// One epoch's losses and joint gradient — the in-process backend's
+    /// kernel. Zeroes and refills the caller's `grads` buffer
     /// (and the `tail` scratch buffer); all other scratch comes from `ws`,
     /// so steady-state epochs allocate nothing.
     ///
@@ -506,10 +498,9 @@ impl TcssTrainer {
         )
     }
 
-    /// Fresh-start-or-resume initialization shared by the in-process and
-    /// distributed checkpointed loops: returns
-    /// `(model, adam, start_epoch, lr_scale, retries)`.
-    pub(crate) fn init_run_state(
+    /// Fresh-start-or-resume initialization of the configured run:
+    /// returns `(model, adam, start_epoch, lr_scale, retries)`.
+    fn init_run_state(
         &self,
         fingerprint: u64,
     ) -> Result<(TcssModel, AdamState, usize, f64, u32), TrainError> {
@@ -551,22 +542,22 @@ impl TcssTrainer {
 
     /// Train an externally-initialized model in place (used by the Fig 9
     /// convergence study to compare initializations under identical loops).
+    ///
+    /// Runs the guarded driver from `model` with fresh Adam state:
+    /// `resume_from` is ignored and checkpoints are off (the watchdog
+    /// still keeps its in-memory rollback snapshot). Panics on a
+    /// [`TrainError`], like [`TcssTrainer::init_model`].
     pub fn train_model(&self, model: &mut TcssModel, on_epoch: &mut impl FnMut(TrainContext)) {
-        let cfg = &self.config;
-        if cfg.num_threads.is_some() {
-            // Pin the worker count for the loss/Hausdorff/linalg kernels.
-            // Deterministic reduction means this is purely a speed knob.
-            tcss_linalg::set_num_threads(cfg.num_threads);
-        }
-        let mut adam = AdamState::new(model);
-        let ws = TrainWorkspace::new();
-        let mut grads = Grads::zeros(model);
-        let mut tail = Grads::zeros(model);
-        for epoch in 0..cfg.epochs {
-            let (l2, l1) = self.epoch_grads(model, epoch, &ws, &mut grads, &mut tail);
-            adam.step(model, &grads, cfg.learning_rate, cfg.weight_decay);
-            on_epoch(TrainContext::local(epoch, l2, l1));
-        }
+        let start = model.clone();
+        let (report, _, _) = self
+            .drive(
+                Some(start),
+                &FaultPlan::none(),
+                |m| InProcess::new(self, m),
+                on_epoch,
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
+        *model = report.model;
     }
 
     /// Fault-tolerant training: checkpoints, resume, and the divergence
@@ -604,46 +595,132 @@ impl TcssTrainer {
         faults: &FaultPlan,
         mut on_epoch: impl FnMut(TrainContext),
     ) -> Result<TrainReport, TrainError> {
+        self.drive(None, faults, |m| InProcess::new(self, m), &mut on_epoch)
+            .map(|(report, _, _)| report)
+    }
+
+    /// The one guarded epoch loop behind every training entry point.
+    ///
+    /// The driver owns every decision: the [`FaultPlan`] crash and poison
+    /// triggers (a poisoned epoch reports a NaN gradient norm), the
+    /// divergence watchdog with its retries and `lr_backoff`, rollback to
+    /// the last good state, the checkpoint cadence and save, restore after
+    /// a lost worker under the backend's respawn budget, and the
+    /// [`TrainContext`] callback. The backend only evaluates an epoch,
+    /// commits or discards it, adopts rolled-back state, and replaces lost
+    /// workers — so in-process, plain-fleet and tail-sharded runs reject,
+    /// replay and checkpoint exactly the same epochs.
+    ///
+    /// `start` is `Some(model)` for [`TcssTrainer::train_model`] (fresh
+    /// Adam, no resume, no checkpoints) and `None` for the configured run
+    /// (fresh init or `resume_from`, checkpoints per `checkpoint_dir`).
+    /// The run state — including the checkpoint directory — is built
+    /// before `backend` is called, so a bad resume or checkpoint path
+    /// fails before any worker process exists. Returns the report, the
+    /// backend (for its transport telemetry), and the respawns consumed.
+    pub(crate) fn drive<B: EpochBackend>(
+        &self,
+        start: Option<TcssModel>,
+        faults: &FaultPlan,
+        backend: impl FnOnce(&TcssModel) -> Result<B, TrainError>,
+        on_epoch: &mut dyn FnMut(TrainContext),
+    ) -> Result<(TrainReport, B, u32), TrainError> {
         let cfg = &self.config;
         self.validate()?;
         if cfg.num_threads.is_some() {
+            // Pin the worker count for the loss/Hausdorff/linalg kernels.
+            // Deterministic reduction means this is purely a speed knob.
             tcss_linalg::set_num_threads(cfg.num_threads);
         }
         let fingerprint = config_fingerprint(cfg);
-
-        // --- Fresh start or resume ---------------------------------------
-        let (mut model, mut adam, start_epoch, mut lr_scale, mut retries) =
-            self.init_run_state(fingerprint)?;
+        let configured = start.is_none();
+        let (mut model, mut adam, start_epoch, mut lr_scale, mut retries) = match start {
+            Some(model) => {
+                let adam = AdamState::new(&model);
+                (model, adam, 0, 1.0, 0)
+            }
+            None => self.init_run_state(fingerprint)?,
+        };
+        let checkpoint_dir = cfg.checkpoint_dir.as_ref().filter(|_| configured);
+        if let Some(dir) = checkpoint_dir {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| TrainError::Checkpoint(ModelIoError::Fs(e)))?;
+        }
+        let checkpoint_path = checkpoint_dir.map(|dir| dir.join(CHECKPOINT_FILE));
+        let mut backend = backend(&model)?;
 
         // Last state known to be healthy; the rollback target. Starts at
         // the initial (or resumed) state and is refreshed on the
         // checkpoint cadence, after the watchdog has accepted the epochs
         // leading up to it.
         let mut last_good = (model.clone(), adam.clone(), start_epoch);
-        let checkpoint_path = cfg
-            .checkpoint_dir
-            .as_ref()
-            .map(|dir| dir.join(CHECKPOINT_FILE));
-        if let Some(dir) = &cfg.checkpoint_dir {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| TrainError::Checkpoint(ModelIoError::Fs(e)))?;
-        }
-
-        let ws = TrainWorkspace::new();
-        let mut grads = Grads::zeros(&model);
-        let mut tail = Grads::zeros(&model);
         let mut epoch = start_epoch;
-        while epoch < cfg.epochs {
+        let mut respawns = 0u32;
+        let mut lost = backend.adopt(epoch, &model, &adam).err();
+        loop {
+            // --- Worker loss: respawn, restore, re-adopt -----------------
+            if let Some((worker, detail)) = lost.take() {
+                respawns += 1;
+                if respawns > backend.max_respawns() {
+                    return Err(TrainError::Dist(DistError::RespawnBudgetExhausted {
+                        worker,
+                        epoch,
+                        respawns,
+                        detail,
+                    }));
+                }
+                backend.replace(worker)?;
+                // Resume from the last checkpoint: the on-disk one when
+                // checkpointing is enabled (exercising the full load
+                // path), else the in-memory rollback snapshot — they are
+                // refreshed at the same cadence points, so the states are
+                // identical.
+                match checkpoint_path.as_ref().filter(|p| p.exists()) {
+                    Some(path) => {
+                        let ck = load_checkpoint(path)?;
+                        model = ck.model;
+                        adam = AdamState {
+                            m: ck.m,
+                            v: ck.v,
+                            t: ck.adam_t,
+                        };
+                        epoch = ck.epoch;
+                        lr_scale = ck.lr_scale;
+                        retries = ck.retries;
+                    }
+                    None => {
+                        model = last_good.0.clone();
+                        adam = last_good.1.clone();
+                        epoch = last_good.2;
+                    }
+                }
+                lost = backend.adopt(epoch, &model, &adam).err();
+                continue;
+            }
+            if epoch >= cfg.epochs {
+                break;
+            }
             if faults.take_crash(epoch) {
                 return Err(TrainError::InjectedCrash { epoch });
             }
-            let (l2, l1) = self.epoch_grads(&model, epoch, &ws, &mut grads, &mut tail);
+            if let Some(victim) = faults.take_kill_worker(epoch) {
+                backend.kill(victim);
+            }
+
+            let (sent0, received0) = backend.traffic();
+            let (l2, l1, mut gnorm) = match backend.evaluate(epoch, &model) {
+                Ok(eval) => eval,
+                Err(l) => {
+                    lost = Some(l);
+                    continue;
+                }
+            };
             if faults.take_poison(epoch) {
-                poison(&mut grads);
+                gnorm = f64::NAN;
             }
 
             // --- Divergence watchdog -------------------------------------
-            if let Some(detail) = divergence_trouble(cfg, l2, l1, grads.norm()) {
+            if let Some(detail) = divergence_trouble(cfg, l2, l1, gnorm) {
                 retries += 1;
                 if retries > cfg.max_retries {
                     return Err(TrainError::Diverged {
@@ -653,49 +730,63 @@ impl TcssTrainer {
                     });
                 }
                 lr_scale *= cfg.lr_backoff;
-                let (m, a, e) = &last_good;
-                model = m.clone();
-                adam = a.clone();
-                epoch = *e;
+                model = last_good.0.clone();
+                adam = last_good.1.clone();
+                epoch = last_good.2;
+                // Adopting the rollback target discards the rejected
+                // epoch wherever the backend holds it.
+                lost = backend.adopt(epoch, &model, &adam).err();
                 continue;
             }
 
-            adam.step(
-                &mut model,
-                &grads,
-                cfg.learning_rate * lr_scale,
-                cfg.weight_decay,
-            );
-            on_epoch(TrainContext::local(epoch, l2, l1));
+            let lr = cfg.learning_rate * lr_scale;
+            if let Err(l) = backend.commit(epoch, &mut model, &mut adam, lr) {
+                lost = Some(l);
+                continue;
+            }
+            let (sent, received) = backend.traffic();
+            on_epoch(TrainContext {
+                epoch,
+                l2,
+                l1,
+                bytes_sent: sent - sent0,
+                bytes_received: received - received0,
+            });
             epoch += 1;
 
             // --- Checkpoint / snapshot cadence ----------------------------
-            let due = epoch.is_multiple_of(cfg.checkpoint_every) || epoch == cfg.epochs;
-            if due && model_is_finite(&model) {
-                last_good = (model.clone(), adam.clone(), epoch);
-                if let Some(path) = &checkpoint_path {
-                    let ck = Checkpoint {
-                        epoch,
-                        adam_t: adam.t,
-                        lr_scale,
-                        retries,
-                        seed: cfg.seed,
-                        fingerprint,
-                        model: model.clone(),
-                        m: adam.m.clone(),
-                        v: adam.v.clone(),
-                    };
-                    save_checkpoint(&ck, path)?;
+            if epoch.is_multiple_of(cfg.checkpoint_every) || epoch == cfg.epochs {
+                if let Err(l) = backend.sync_moments(epoch, &mut adam) {
+                    lost = Some(l);
+                    continue;
+                }
+                if model_is_finite(&model) {
+                    last_good = (model.clone(), adam.clone(), epoch);
+                    if let Some(path) = &checkpoint_path {
+                        let ck = Checkpoint {
+                            epoch,
+                            adam_t: adam.t,
+                            lr_scale,
+                            retries,
+                            seed: cfg.seed,
+                            fingerprint,
+                            model: model.clone(),
+                            m: adam.m.clone(),
+                            v: adam.v.clone(),
+                        };
+                        save_checkpoint(&ck, path)?;
+                    }
                 }
             }
         }
 
-        Ok(TrainReport {
+        let report = TrainReport {
             model,
             start_epoch,
             rollbacks: retries,
             lr_scale,
-        })
+        };
+        Ok((report, backend, respawns))
     }
 
     /// Score function for ranking, applying the ZeroOut mask when that
@@ -717,12 +808,11 @@ impl TcssTrainer {
 
 /// The divergence watchdog's verdict on one epoch's losses and gradient
 /// norm: `Some(detail)` if the update must be rejected and rolled back.
-/// Shared by the in-process and distributed ([`crate::dist`]) loops so
-/// both reject exactly the same epochs. Takes the gradient norm
-/// pre-computed ([`Grads::norm`]'s row-decomposable order) because the
-/// tail-sharded coordinator folds it from worker-shipped per-row dots —
-/// the full gradient never materializes in one process there.
-pub(crate) fn divergence_trouble(cfg: &TcssConfig, l2: f64, l1: f64, gnorm: f64) -> Option<String> {
+/// Takes the gradient norm pre-computed ([`Grads::norm`]'s
+/// row-decomposable order) because the tail-sharded backend folds it from
+/// worker-shipped per-row dots — the full gradient never materializes in
+/// one process there.
+fn divergence_trouble(cfg: &TcssConfig, l2: f64, l1: f64, gnorm: f64) -> Option<String> {
     let joint = cfg.lambda.mul_add(l1, l2);
     if !joint.is_finite() {
         Some(format!("non-finite loss (L₂ {l2}, L₁ {l1})"))
@@ -747,11 +837,111 @@ pub(crate) fn divergence_trouble(cfg: &TcssConfig, l2: f64, l1: f64, gnorm: f64)
 /// Every parameter finite? Guards the rollback target: a state that
 /// already went non-finite (finite-but-huge gradients can overflow the
 /// Adam update) must never become a snapshot or a checkpoint.
-pub(crate) fn model_is_finite(model: &TcssModel) -> bool {
+fn model_is_finite(model: &TcssModel) -> bool {
     model.u1.as_slice().iter().all(|v| v.is_finite())
         && model.u2.as_slice().iter().all(|v| v.is_finite())
         && model.u3.as_slice().iter().all(|v| v.is_finite())
         && model.h.iter().all(|v| v.is_finite())
+}
+
+/// A lost worker process: its slot index and how the loss surfaced.
+/// Every transport failure inside an epoch is recoverable by respawn and
+/// rollback, so backends report it instead of failing the run.
+pub(crate) type Lost = (usize, String);
+
+/// How [`TcssTrainer::drive`] runs one epoch: in process
+/// ([`InProcess`]), over the plain worker fleet, or over the tail-sharded
+/// fleet ([`crate::dist`]). A backend computes and applies; every
+/// decision — watchdog, rollback, checkpoint cadence, recovery — stays
+/// with the driver.
+pub(crate) trait EpochBackend {
+    /// Evaluate `epoch` at `model` into `(l2, l1, gnorm)`, holding the
+    /// gradient until [`EpochBackend::commit`] applies it or a rollback's
+    /// [`EpochBackend::adopt`] discards it.
+    fn evaluate(&mut self, epoch: usize, model: &TcssModel) -> Result<(f64, f64, f64), Lost>;
+
+    /// Apply the evaluated gradient to `model` and `adam` at learning
+    /// rate `lr`.
+    fn commit(
+        &mut self,
+        epoch: usize,
+        model: &mut TcssModel,
+        adam: &mut AdamState,
+        lr: f64,
+    ) -> Result<(), Lost>;
+
+    /// Install `(model, adam)` as the state `epoch` starts from — at the
+    /// start of the run, after a rollback, and after a respawn.
+    fn adopt(&mut self, _epoch: usize, _model: &TcssModel, _adam: &AdamState) -> Result<(), Lost> {
+        Ok(())
+    }
+
+    /// Bring `adam` up to date before the driver snapshots it (`epoch` is
+    /// the completed-epoch count, as in [`Checkpoint::epoch`]).
+    fn sync_moments(&mut self, _epoch: usize, _adam: &mut AdamState) -> Result<(), Lost> {
+        Ok(())
+    }
+
+    /// `SIGKILL` worker `worker` ([`FaultPlan::kill_worker_at`]); the
+    /// loss surfaces at the next exchange.
+    fn kill(&mut self, _worker: usize) {}
+
+    /// Replace lost worker `worker` with a fresh process.
+    fn replace(&mut self, worker: usize) -> Result<(), TrainError>;
+
+    /// How many worker losses the run may recover from.
+    fn max_respawns(&self) -> u32 {
+        0
+    }
+
+    /// Cumulative `(sent, received)` bytes on worker sockets.
+    fn traffic(&self) -> (u64, u64) {
+        (0, 0)
+    }
+}
+
+/// The in-process backend: [`TcssTrainer::epoch_grads`] and
+/// [`AdamState::step`] over buffers reused across epochs.
+struct InProcess<'a> {
+    trainer: &'a TcssTrainer,
+    ws: TrainWorkspace,
+    grads: Grads,
+    tail: Grads,
+}
+
+impl<'a> InProcess<'a> {
+    fn new(trainer: &'a TcssTrainer, model: &TcssModel) -> Result<Self, TrainError> {
+        Ok(InProcess {
+            trainer,
+            ws: TrainWorkspace::new(),
+            grads: Grads::zeros(model),
+            tail: Grads::zeros(model),
+        })
+    }
+}
+
+impl EpochBackend for InProcess<'_> {
+    fn evaluate(&mut self, epoch: usize, model: &TcssModel) -> Result<(f64, f64, f64), Lost> {
+        let (l2, l1) =
+            self.trainer
+                .epoch_grads(model, epoch, &self.ws, &mut self.grads, &mut self.tail);
+        Ok((l2, l1, self.grads.norm()))
+    }
+
+    fn commit(
+        &mut self,
+        _epoch: usize,
+        model: &mut TcssModel,
+        adam: &mut AdamState,
+        lr: f64,
+    ) -> Result<(), Lost> {
+        adam.step(model, &self.grads, lr, self.trainer.config.weight_decay);
+        Ok(())
+    }
+
+    fn replace(&mut self, _worker: usize) -> Result<(), TrainError> {
+        unreachable!("an in-process run has no workers to lose")
+    }
 }
 
 #[cfg(test)]

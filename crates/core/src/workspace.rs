@@ -12,9 +12,10 @@
 //!
 //! # Ownership rules
 //!
-//! * The workspace is created once per training run (in `train_model` /
-//!   `train_with_faults`) and threaded **by shared reference** through the
-//!   loss heads; pools hand buffers out via interior mutability.
+//! * The workspace is created once per training run (by the epoch
+//!   backend the guarded driver in [`crate::train`] runs) and threaded
+//!   **by shared reference** through the loss heads; pools hand buffers
+//!   out via interior mutability.
 //! * Worker-local buffers ([`GradScratch`], `UserScratch`) are checked out
 //!   through RAII guards for the lifetime of one parallel region's worker.
 //! * Per-chunk deltas ([`SparseGrads`]) travel by value with the chunk

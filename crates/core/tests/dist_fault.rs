@@ -256,3 +256,35 @@ fn respawn_budget_exhaustion_is_typed() {
         other => panic!("expected RespawnBudgetExhausted, got: {other}"),
     }
 }
+
+/// The divergence watchdog is the driver's, not a backend's: a poisoned
+/// epoch rolls back to the last snapshot and halves the learning rate
+/// identically in process, over the plain fleet, and over the
+/// tail-sharded fleet — same model bits, one rollback, `lr_scale` 0.5.
+#[test]
+fn watchdog_rollback_is_identical_across_backends() {
+    // Epoch 3: past the epoch-2 snapshot, so the rollback rewinds a
+    // committed epoch, not just the poisoned one.
+    let poisoned = || FaultPlan::poison_gradients_at(3);
+    let local = fixture(None, None)
+        .train_with_faults(&poisoned(), |_| {})
+        .expect("in-process run recovers from the poisoned epoch");
+    let plain = fixture(Some(2), None)
+        .train_distributed_with_faults(&dist_cfg(2), &poisoned(), |_| {})
+        .expect("plain 2-worker run recovers from the poisoned epoch");
+    let sharded = fixture(Some(2), None)
+        .train_distributed_with_faults(&shard_cfg(2), &poisoned(), |_| {})
+        .expect("tail-sharded 2-worker run recovers from the poisoned epoch");
+    let want = model_bits(&local.model);
+    for (label, report) in [
+        ("in-process", &local),
+        ("plain", &plain.report),
+        ("tail-sharded", &sharded.report),
+    ] {
+        assert_eq!(report.rollbacks, 1, "{label}: rollbacks");
+        assert_eq!(report.lr_scale, 0.5, "{label}: lr_scale");
+        assert_eq!(model_bits(&report.model), want, "{label}: model bits");
+    }
+    assert_eq!(plain.respawns, 0);
+    assert_eq!(sharded.respawns, 0);
+}

@@ -1,9 +1,9 @@
 //! The process-count-parity contract, end to end.
 //!
 //! Training with 1, 2, or 4 worker processes — at 1 or 2 threads per
-//! worker, plain or tail-sharded (owner-computes Adam, DESIGN.md §5j),
-//! overlap on or off — must produce models bit-identical to the
-//! in-process checkpointed trainer, for both entry-loss strategies, over
+//! worker, plain or tail-sharded (owner-computes Adam, DESIGN.md §5j) —
+//! must produce models bit-identical to the in-process checkpointed
+//! trainer, for both entry-loss strategies, over
 //! arbitrary tensors. Checkpoints cross modes bit-for-bit in both
 //! directions. Also proptests the delta-codec framing layer: arbitrary
 //! byte splits decode identically, and truncation/corruption surface as
@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use tcss_core::dist::{encode_frame, DistConfig, FrameDecoder, WireError};
-use tcss_core::{InitMethod, LossStrategy, TcssConfig, TcssModel, TcssTrainer};
+use tcss_core::{InitMethod, LossStrategy, TcssConfig, TcssModel, TcssTrainer, TrainError};
 use tcss_sparse::SparseTensor3;
 
 /// The dedicated worker binary of the core crate (built by cargo for
@@ -87,10 +87,9 @@ fn dist_cfg(workers: usize, threads: usize) -> DistConfig {
     }
 }
 
-fn shard_cfg(workers: usize, threads: usize, overlap: bool) -> DistConfig {
+fn shard_cfg(workers: usize, threads: usize) -> DistConfig {
     DistConfig {
         tail_shard: true,
-        overlap,
         ..dist_cfg(workers, threads)
     }
 }
@@ -137,8 +136,8 @@ proptest! {
     }
 
     /// Tail sharding (owner-computes Adam, §5j) is bit-invisible too:
-    /// 1 ≡ 2 ≡ 4 tail-sharded workers ≡ in-process, and neither worker
-    /// threading nor the overlap knob changes a bit.
+    /// 1 ≡ 2 ≡ 4 tail-sharded workers ≡ in-process, and worker threading
+    /// does not change a bit.
     #[test]
     fn tail_sharding_never_changes_a_bit(case in case_strategy()) {
         let baseline = trainer_for(&case, None)
@@ -148,7 +147,7 @@ proptest! {
         let want = model_bits(&baseline);
         for workers in [1usize, 2, 4] {
             let report = trainer_for(&case, Some(workers))
-                .train_distributed(&shard_cfg(workers, 1, true), |_| {})
+                .train_distributed(&shard_cfg(workers, 1), |_| {})
                 .unwrap_or_else(|e| panic!("{workers}-worker tail-sharded run failed: {e}"));
             prop_assert_eq!(report.workers, workers);
             prop_assert_eq!(report.respawns, 0);
@@ -160,20 +159,11 @@ proptest! {
         // 2 workers × 2 threads: worker threading stays a pure speed knob
         // under sharding.
         let threaded = trainer_for(&case, Some(2))
-            .train_distributed(&shard_cfg(2, 2, true), |_| {})
+            .train_distributed(&shard_cfg(2, 2), |_| {})
             .expect("2-worker × 2-thread tail-sharded run trains");
         prop_assert_eq!(
             &model_bits(&threaded.report.model), &want,
             "2 tail-sharded workers × 2 threads diverged from the in-process model"
-        );
-        // overlap=false serialises the coordinator tail after the relay;
-        // same floats in a different wall-clock order.
-        let serial_tail = trainer_for(&case, Some(2))
-            .train_distributed(&shard_cfg(2, 1, false), |_| {})
-            .expect("overlap=false tail-sharded run trains");
-        prop_assert_eq!(
-            &model_bits(&serial_tail.report.model), &want,
-            "overlap=false diverged from the in-process model"
         );
     }
 }
@@ -352,7 +342,7 @@ fn tail_sharded_checkpoint_resumes_in_process_bitwise() {
     first.config.epochs = 3;
     first.config.checkpoint_dir = Some(tmp.clone());
     first
-        .train_distributed(&shard_cfg(2, 1, true), |_| {})
+        .train_distributed(&shard_cfg(2, 1), |_| {})
         .expect("tail-sharded prefix trains");
     // ...resumed by a plain single-process trainer to epoch 6.
     let mut second = trainer_for(&case, None);
@@ -406,7 +396,7 @@ fn in_process_checkpoint_resumes_tail_sharded_bitwise() {
     second.config.epochs = 6;
     second.config.resume_from = Some(tmp.join(tcss_core::CHECKPOINT_FILE));
     let resumed = second
-        .train_distributed(&shard_cfg(3, 1, true), |_| {})
+        .train_distributed(&shard_cfg(3, 1), |_| {})
         .expect("tail-sharded resume trains");
     assert_eq!(resumed.report.start_epoch, 3);
     assert_eq!(model_bits(&resumed.report.model), want);
@@ -447,6 +437,43 @@ fn instantly_dying_worker_is_typed_not_a_hang() {
         err.to_string().contains("exited before connecting"),
         "{err}"
     );
+}
+
+/// The run state is built before any worker is spawned: a resume
+/// checkpoint from a different configuration is rejected as
+/// `InvalidConfig` under either protocol, even when the worker program
+/// could not be spawned at all — nothing is started that the error path
+/// would have to reap.
+#[test]
+fn mismatched_resume_fails_before_any_spawn() {
+    let case = Case {
+        dims: (4, 4, 3),
+        entries: vec![(0, 0, 0, 1.0), (1, 2, 1, 1.0), (3, 3, 2, 1.0)],
+        rank: 2,
+        seed: 5,
+        loss: LossStrategy::WholeDataRewritten,
+    };
+    let tmp = tempdir("mismatched_resume");
+    let mut writer = trainer_for(&case, None);
+    writer.config.checkpoint_dir = Some(tmp.clone());
+    writer.train_with_checkpoints(|_| {}).expect("trains");
+    for tail_shard in [false, true] {
+        let mut other = trainer_for(&case, Some(2));
+        other.config.seed += 1; // a different trajectory fingerprint
+        other.config.resume_from = Some(tmp.join(tcss_core::CHECKPOINT_FILE));
+        let dist = DistConfig {
+            tail_shard,
+            ..DistConfig::new(2, "/nonexistent/worker/binary")
+        };
+        let err = other
+            .train_distributed(&dist, |_| {})
+            .expect_err("a mismatched checkpoint must be refused");
+        assert!(
+            matches!(err, TrainError::InvalidConfig(_)),
+            "tail_shard={tail_shard}: expected InvalidConfig, got {err}"
+        );
+    }
+    std::fs::remove_dir_all(&tmp).ok();
 }
 
 fn tempdir(tag: &str) -> std::path::PathBuf {

@@ -38,7 +38,7 @@ const USAGE: &str = "usage:
                  [--epochs N] [--rank R] [--lambda L] [--seed S]
                  [--loss whole|naive|negsamp] [--init spectral|random|onehot]
                  [--granularity month|week|hour] [--threads T]
-                 [--workers N] [--worker-threads T] [--tail-shard] [--no-overlap]
+                 [--workers N] [--worker-threads T] [--tail-shard]
                  [--checkpoint-dir <dir>] [--checkpoint-every N] [--resume] [--lenient]
   tcss recommend --data <stem> --model <file> --user U --month M [--top N]
   tcss recommend-batch --data <stem> --model <file> --requests <U:M,U:M,...> [--top N]
@@ -82,10 +82,7 @@ distributed training:
   run at any worker count. --worker-threads sets threads per worker
   (default 1). --tail-shard moves the optimizer tail to the workers
   (owner-computes Adam over contiguous factor-row ranges) — same bits,
-  shorter coordinator critical path; --no-overlap additionally serialises
-  the coordinator's Gram/Hausdorff tail after the delta relay instead of
-  overlapping it with worker compute (a latency knob for measurement,
-  identical bits; requires --tail-shard). Checkpoints stay
+  shorter coordinator critical path. Checkpoints stay
   coordinator-owned and worker-count-independent, so the run survives
   the loss of any single worker and checkpoints cross modes freely. The
   whole flag combination is validated up front — e.g. --workers 0, or a
@@ -279,8 +276,8 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
             println!("epoch {:>4}: loss {loss:.2}", ctx.epoch + 1);
         }
     };
-    if workers.is_none() && (has(args, "--tail-shard") || has(args, "--no-overlap")) {
-        return Err("--tail-shard/--no-overlap require --workers".into());
+    if workers.is_none() && has(args, "--tail-shard") {
+        return Err("--tail-shard requires --workers".into());
     }
     let report = match workers {
         None => trainer
@@ -295,15 +292,10 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
                 Some(v) => Some(parse(v, "--worker-threads")?),
                 None => None,
             };
-            let tail_shard = has(args, "--tail-shard");
-            if has(args, "--no-overlap") && !tail_shard {
-                return Err("--no-overlap requires --tail-shard".into());
-            }
             let dist = tcss::core::dist::DistConfig {
                 worker_threads,
                 worker_args: vec!["dist-worker".into()],
-                tail_shard,
-                overlap: !has(args, "--no-overlap"),
+                tail_shard: has(args, "--tail-shard"),
                 ..tcss::core::dist::DistConfig::new(n, exe)
             };
             let dr = trainer
