@@ -86,8 +86,7 @@ struct BenchResult {
 }
 
 /// Warm up, calibrate a batch size so each sample runs ≥ `target_ns`, then
-/// take `samples` timed batches (same scheme as the criterion shim, which
-/// is a dev-dependency and so unavailable to a `src/bin` binary).
+/// take `samples` timed batches.
 fn run_bench(name: &str, samples: usize, target_ns: u64, mut f: impl FnMut()) -> BenchResult {
     f(); // warmup
     let t0 = Instant::now();

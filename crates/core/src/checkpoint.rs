@@ -123,8 +123,9 @@ pub(crate) fn verify_checksum(text: &str) -> Result<&str, ModelIoError> {
 
 /// Write `contents` to `path` atomically: temp file in the same directory,
 /// fsync, rename over the target, fsync the directory. A crash at any
-/// point leaves either the old file or the new file — never a mix.
-pub(crate) fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
+/// point leaves either the old file or the new file — never a mix. Backs
+/// checkpoints, saved models and serving snapshots alike.
+pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     let tmp = {
         let mut os = path.as_os_str().to_os_string();
         os.push(".tmp");
@@ -132,7 +133,7 @@ pub(crate) fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
     };
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(contents.as_bytes())?;
+        f.write_all(contents)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
@@ -248,7 +249,7 @@ pub fn save_checkpoint(ck: &Checkpoint, path: &Path) -> Result<(), ModelIoError>
     write_grads_shaped(&mut out, "m", &ck.m);
     write_grads_shaped(&mut out, "v", &ck.v);
     append_checksum(&mut out);
-    atomic_write(path, &out)?;
+    atomic_write(path, out.as_bytes())?;
     Ok(())
 }
 

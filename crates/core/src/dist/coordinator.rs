@@ -18,12 +18,13 @@
 //!   [`crate::dist`] for the parity argument and failure model.
 
 use super::wire::{
-    apply_deltas, decode_hello, deltas_epoch, encode_frame, encode_setup, encode_shutdown,
-    encode_step_into, tag_of, FrameBuf, FrameDecoder, Setup, WireLoss, TAG_DELTAS, TAG_HELLO,
+    apply_deltas, decode_hello, deltas_epoch, encode_setup, encode_shutdown, encode_step_into,
+    tag_of, Setup, WireLoss, TAG_DELTAS, TAG_HELLO,
 };
-use super::{read_frame, DistError};
+use super::DistError;
 use crate::config::LossStrategy;
 use crate::fault::FaultPlan;
+use crate::frame::{FrameBuf, FrameDecoder, Trailer, HEADER_LEN, TRAILER_LEN};
 use crate::loss::{Grads, ENTRIES_PER_CHUNK};
 use crate::model::TcssModel;
 use crate::train::{
@@ -334,8 +335,8 @@ impl<'a> Workers<'a> {
         };
         listener.set_nonblocking(false)?;
         stream.set_nonblocking(false)?;
-        let mut dec = FrameDecoder::new();
-        let hello = read_frame(&mut stream, &mut dec)?.ok_or_else(|| {
+        let mut dec = FrameDecoder::checksummed();
+        let hello = dec.read_frame::<DistError>(&mut stream)?.ok_or_else(|| {
             DistError::Protocol(format!("worker {worker} disconnected before Hello"))
         })?;
         if tag_of(&hello)? != TAG_HELLO {
@@ -372,7 +373,7 @@ impl<'a> Workers<'a> {
             weight_decay: cfg.weight_decay,
             entries: trainer.tensor.entries().to_vec(),
         };
-        stream.write_all(&encode_frame(&encode_setup(&setup)))?;
+        stream.write_all(&Trailer::Checksum.encode(&encode_setup(&setup)))?;
         let entries = trainer.tensor.entries();
         let lo = (chunk_start * ENTRIES_PER_CHUNK).min(entries.len());
         let hi = (chunk_end * ENTRIES_PER_CHUNK).min(entries.len());
@@ -391,7 +392,9 @@ impl Drop for Workers<'_> {
     /// exit on EOF, so a failed write still converges.
     fn drop(&mut self) {
         for slot in &mut self.slots {
-            let _ = slot.stream.write_all(&encode_frame(&encode_shutdown()));
+            let _ = slot
+                .stream
+                .write_all(&Trailer::Checksum.encode(&encode_shutdown()));
             let _ = slot.stream.shutdown(std::net::Shutdown::Both);
         }
         for slot in &mut self.slots {
@@ -519,7 +522,7 @@ fn dispatch_epoch(
             continue;
         }
         loop {
-            let frame = match read_frame(&mut slot.stream, &mut slot.dec) {
+            let frame = match slot.dec.read_frame::<DistError>(&mut slot.stream) {
                 Ok(Some(f)) => f,
                 Ok(None) => {
                     lost.get_or_insert((w, "worker closed its socket mid-epoch".into()));
@@ -530,8 +533,7 @@ fn dispatch_epoch(
                     break;
                 }
             };
-            fleet.bytes_received +=
-                (frame.len() + super::wire::HEADER_LEN + super::wire::TRAILER_LEN) as u64;
+            fleet.bytes_received += (frame.len() + HEADER_LEN + TRAILER_LEN) as u64;
             match tag_of(&frame) {
                 Ok(TAG_DELTAS) => match deltas_epoch(&frame) {
                     Ok(ep) if ep != epoch => continue, // stale replay reply

@@ -25,9 +25,11 @@
 //!   per step, the broadcast model; it evaluates exactly the per-chunk
 //!   kernels the in-process path runs and ships each chunk's delta back
 //!   un-merged.
-//! * **Transport** ([`wire`]) — Unix sockets with hand-rolled
-//!   length-prefixed framing (no async runtime), every frame checksummed
-//!   with [`crate::digest::fnv1a64`].
+//! * **Transport** ([`wire`]) — Unix sockets carrying the checksummed
+//!   flavour of the shared [`crate::frame`] codec (no async runtime):
+//!   every frame ends in a `crate::frame::frame_checksum` trailer,
+//!   hardware CRC32C where the CPU has it and word-folded FNV-1a
+//!   elsewhere.
 //!
 //! # The process-count-parity contract
 //!
@@ -84,10 +86,10 @@ pub mod wire;
 pub mod worker;
 
 pub use coordinator::{DistConfig, DistReport};
-pub use wire::{encode_frame, FrameDecoder, WireError};
+pub use wire::WireError;
 pub use worker::run_worker;
 
-use std::io::Read;
+use crate::frame::FrameError;
 
 /// Typed failures of the distributed runtime.
 #[derive(Debug)]
@@ -155,6 +157,12 @@ impl From<WireError> for DistError {
     }
 }
 
+impl From<FrameError> for DistError {
+    fn from(e: FrameError) -> Self {
+        DistError::Wire(WireError::Frame(e))
+    }
+}
+
 /// Monotonic on-CPU time of the calling process, in nanoseconds.
 ///
 /// Workers report their per-step `busy_ns` with this clock, and the
@@ -164,70 +172,19 @@ impl From<WireError> for DistError {
 /// oversubscribed host `Σ busy` then saturates the wall and the
 /// coordinator share clamps to zero, understating the serial tail.
 ///
-/// On Linux/x86-64 this is `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`
-/// via a raw syscall (the workspace deliberately has no libc
-/// dependency). Process scope matters: a multi-threaded worker evaluates
-/// chunks on scoped pool threads, whose CPU a thread-scoped clock would
-/// misattribute to the coordinator residual — and since those threads
-/// only live inside the eval call, blocking waits still accrue ~zero.
-/// The clock folds running threads' unexpired time slices into the
-/// result, so millisecond spans measure exactly — unlike
-/// `/proc/*/schedstat` or `utime`, which only advance on scheduler
-/// ticks and can report near-zero for any span shorter than one.
-/// Elsewhere it falls back to a process-wide wall clock.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+/// This is [`crate::sys::process_cpu_ns`]. Process scope matters: a
+/// multi-threaded worker evaluates chunks on scoped pool threads, whose
+/// CPU a thread-scoped clock would misattribute to the coordinator
+/// residual — and since those threads only live inside the eval call,
+/// blocking waits still accrue ~zero. Unlike `/proc/*/schedstat` or
+/// `utime`, which only advance on scheduler ticks, it measures
+/// millisecond spans exactly. Where the CPU clock is unavailable it
+/// falls back to a process-wide wall clock.
 pub(crate) fn busy_now_ns() -> u64 {
-    const SYS_CLOCK_GETTIME: i64 = 228;
-    const CLOCK_PROCESS_CPUTIME_ID: i64 = 2;
-    let mut ts = [0i64; 2]; // timespec { tv_sec, tv_nsec }
-    let ret: i64;
-    unsafe {
-        core::arch::asm!(
-            "syscall",
-            inlateout("rax") SYS_CLOCK_GETTIME => ret,
-            in("rdi") CLOCK_PROCESS_CPUTIME_ID,
-            in("rsi") ts.as_mut_ptr(),
-            lateout("rcx") _, // syscall clobbers rcx (return RIP)
-            lateout("r11") _, // and r11 (saved RFLAGS)
-            options(nostack),
-        );
-    }
-    if ret == 0 {
-        (ts[0] as u64) * 1_000_000_000 + ts[1] as u64
-    } else {
-        fallback_wall_ns()
-    }
-}
-
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-pub(crate) fn busy_now_ns() -> u64 {
-    fallback_wall_ns()
-}
-
-fn fallback_wall_ns() -> u64 {
-    use std::sync::OnceLock;
-    use std::time::Instant;
-    static START: OnceLock<Instant> = OnceLock::new();
-    START.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-/// Read whole frames from a blocking stream through a push-based decoder.
-/// A clean EOF between frames is `Ok(None)`; EOF mid-frame is a typed
-/// [`WireError::TruncatedEof`].
-pub(crate) fn read_frame(
-    stream: &mut impl Read,
-    dec: &mut FrameDecoder,
-) -> Result<Option<Vec<u8>>, DistError> {
-    let mut tmp = [0u8; 64 * 1024];
-    loop {
-        if let Some(frame) = dec.next_frame()? {
-            return Ok(Some(frame));
-        }
-        let n = stream.read(&mut tmp)?;
-        if n == 0 {
-            dec.finish()?;
-            return Ok(None);
-        }
-        dec.push(&tmp[..n]);
-    }
+    crate::sys::process_cpu_ns().unwrap_or_else(|| {
+        use std::sync::OnceLock;
+        use std::time::Instant;
+        static START: OnceLock<Instant> = OnceLock::new();
+        START.get_or_init(Instant::now).elapsed().as_nanos() as u64
+    })
 }

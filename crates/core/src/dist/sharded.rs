@@ -81,13 +81,13 @@ use super::wire::{
     encode_adopt_into, encode_chunk_stats_into, encode_exch_into, encode_norm_part_into,
     encode_snap_req_into, encode_snap_rows_into, encode_step_owned_into, encode_tail_gram_into,
     encode_tail_inactive_into, encode_tail_rows_into, encode_upd_rows_into, encode_verdict_into,
-    exch_header, msg_epoch, msg_epoch_src, raw_frame_payload, read_raw_frame, tag_of, FrameBuf,
-    FrameDecoder, Setup, TailMsg, TAG_ADOPT, TAG_CHUNK_STATS, TAG_EXCH, TAG_NORM_PART,
-    TAG_SHUTDOWN, TAG_SNAP_REQ, TAG_SNAP_ROWS, TAG_STEP_OWNED, TAG_TAIL_ROWS, TAG_UPD_ROWS,
-    TAG_VERDICT, UPD_ROWS_BUSY_OFFSET,
+    exch_header, msg_epoch, msg_epoch_src, raw_frame_payload, read_raw_frame, tag_of, Setup,
+    TailMsg, TAG_ADOPT, TAG_CHUNK_STATS, TAG_EXCH, TAG_NORM_PART, TAG_SHUTDOWN, TAG_SNAP_REQ,
+    TAG_SNAP_ROWS, TAG_STEP_OWNED, TAG_TAIL_ROWS, TAG_UPD_ROWS, TAG_VERDICT, UPD_ROWS_BUSY_OFFSET,
 };
-use super::{busy_now_ns, read_frame, DistError};
+use super::{busy_now_ns, DistError};
 use crate::fault::FaultPlan;
+use crate::frame::{FrameBuf, FrameDecoder};
 use crate::loss::Grads;
 use crate::model::TcssModel;
 use crate::sparse_grads::{owned_range, OwnerSplit};
@@ -228,7 +228,7 @@ pub(super) fn run_sharded_worker(
 
 impl ShardWorker {
     fn recv(&mut self) -> Result<Option<Vec<u8>>, DistError> {
-        read_frame(&mut self.stream, &mut self.dec)
+        self.dec.read_frame(&mut self.stream)
     }
 
     /// Frame whatever was just encoded into `self.out` and send it.

@@ -11,10 +11,11 @@
 //! respawned worker is indistinguishable from the one it replaces.
 
 use super::wire::{
-    decode_setup, decode_step, encode_deltas_into, encode_frame, encode_hello, tag_of, FrameBuf,
-    FrameDecoder, Setup, WireLoss, TAG_SETUP, TAG_SHUTDOWN, TAG_STEP,
+    decode_setup, decode_step, encode_deltas_into, encode_hello, tag_of, Setup, WireLoss,
+    TAG_SETUP, TAG_SHUTDOWN, TAG_STEP,
 };
-use super::{busy_now_ns, read_frame, DistError};
+use super::{busy_now_ns, DistError};
+use crate::frame::{FrameBuf, FrameDecoder, Trailer};
 use crate::loss::{l2_entry_chunk, negative_sampling_chunk, ENTRIES_PER_CHUNK};
 use crate::sparse_grads::{GradScratch, SparseGrads};
 use crate::workspace::TrainWorkspace;
@@ -26,10 +27,10 @@ use std::path::Path;
 /// until Shutdown (or a clean coordinator-side disconnect).
 pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), DistError> {
     let mut stream = UnixStream::connect(socket)?;
-    stream.write_all(&encode_frame(&encode_hello(worker_id)))?;
-    let mut dec = FrameDecoder::new();
+    stream.write_all(&Trailer::Checksum.encode(&encode_hello(worker_id)))?;
+    let mut dec = FrameDecoder::checksummed();
 
-    let frame = read_frame(&mut stream, &mut dec)?.ok_or_else(|| {
+    let frame = dec.read_frame::<DistError>(&mut stream)?.ok_or_else(|| {
         DistError::Protocol("coordinator disconnected before sending Setup".into())
     })?;
     if tag_of(&frame)? != TAG_SETUP {
@@ -70,7 +71,7 @@ pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), DistError> {
         // blocking wait inside `read_frame` accrues ~nothing while the
         // frame checksum + buffering it brackets is counted.
         let t0 = busy_now_ns();
-        let frame = match read_frame(&mut stream, &mut dec)? {
+        let frame = match dec.read_frame::<DistError>(&mut stream)? {
             Some(f) => f,
             // Coordinator dropped the connection between frames: treat it
             // as shutdown so an aborted run doesn't leave zombie workers.

@@ -40,12 +40,14 @@ pub mod config;
 pub mod digest;
 pub mod dist;
 pub mod fault;
+pub mod frame;
 pub mod hausdorff;
 pub mod init;
 pub mod loss;
 pub mod model;
 pub mod model_io;
 pub mod sparse_grads;
+pub mod sys;
 pub mod topn;
 pub mod train;
 pub mod workspace;

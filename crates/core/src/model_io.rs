@@ -79,7 +79,7 @@ pub fn save_model(model: &TcssModel, path: &Path) -> Result<(), ModelIoError> {
     write_matrix(&mut out, "u2", &model.u2);
     write_matrix(&mut out, "u3", &model.u3);
     append_checksum(&mut out);
-    atomic_write(path, &out)?;
+    atomic_write(path, out.as_bytes())?;
     Ok(())
 }
 

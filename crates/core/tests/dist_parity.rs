@@ -10,7 +10,8 @@
 //! typed errors, never a hang.
 
 use proptest::prelude::*;
-use tcss_core::dist::{encode_frame, DistConfig, FrameDecoder, WireError};
+use tcss_core::dist::DistConfig;
+use tcss_core::frame::{FrameDecoder, FrameError, Trailer};
 use tcss_core::{InitMethod, LossStrategy, TcssConfig, TcssModel, TcssTrainer, TrainError};
 use tcss_sparse::SparseTensor3;
 
@@ -185,10 +186,10 @@ proptest! {
     ) {
         let mut stream = Vec::new();
         for p in &payloads {
-            stream.extend_from_slice(&encode_frame(p));
+            stream.extend_from_slice(&Trailer::Checksum.encode(p));
         }
         // Deterministic pseudo-random split points from split_seed.
-        let mut dec = FrameDecoder::new();
+        let mut dec = FrameDecoder::checksummed();
         let mut got = Vec::new();
         let mut pos = 0usize;
         let mut state = split_seed | 1;
@@ -213,20 +214,20 @@ proptest! {
         payload in proptest::collection::vec(0u8..=255, 0..200),
         cut_frac in 0.0f64..1.0,
     ) {
-        let frame = encode_frame(&payload);
+        let frame = Trailer::Checksum.encode(&payload);
         // cut ∈ [1, len-1]: always a strict interior truncation.
         let cut = 1 + ((frame.len() - 2) as f64 * cut_frac) as usize;
-        let mut dec = FrameDecoder::new();
+        let mut dec = FrameDecoder::checksummed();
         dec.push(&frame[..cut]);
         match dec.next_frame() {
             Ok(Some(f)) => prop_assert!(false, "decoded a frame from a truncated stream: {f:?}"),
             Ok(None) => {
                 let err = dec.finish().expect_err("EOF mid-frame must be typed");
-                prop_assert!(matches!(err, WireError::TruncatedEof { .. }), "{}", err);
+                prop_assert!(matches!(err, FrameError::TruncatedEof { .. }), "{}", err);
             }
             // A cut inside the length prefix can legitimately look
             // oversized; that is still a typed error, not a hang.
-            Err(e) => prop_assert!(matches!(e, WireError::Oversized { .. }), "{}", e),
+            Err(e) => prop_assert!(matches!(e, FrameError::Oversized { .. }), "{}", e),
         }
     }
 
@@ -238,10 +239,10 @@ proptest! {
         at_frac in 0.0f64..1.0,
         mask in 1u8..=255,
     ) {
-        let mut frame = encode_frame(&payload);
+        let mut frame = Trailer::Checksum.encode(&payload);
         let at = ((frame.len() - 1) as f64 * at_frac) as usize;
         frame[at] ^= mask;
-        let mut dec = FrameDecoder::new();
+        let mut dec = FrameDecoder::checksummed();
         dec.push(&frame);
         let outcome = dec.next_frame();
         match outcome {
@@ -256,7 +257,7 @@ proptest! {
             // it typed.
             Ok(None) => {
                 let err = dec.finish().expect_err("partial frame at EOF");
-                prop_assert!(matches!(err, WireError::TruncatedEof { .. }), "{}", err);
+                prop_assert!(matches!(err, FrameError::TruncatedEof { .. }), "{}", err);
             }
         }
     }

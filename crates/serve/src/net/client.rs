@@ -31,7 +31,7 @@
 //! corruption, not load, and deserve a loud failure.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -92,6 +92,12 @@ impl std::error::Error for ClientError {}
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
         ClientError::Io(e)
+    }
+}
+
+impl From<FrameError> for ClientError {
+    fn from(e: FrameError) -> Self {
+        ClientError::Frame(e)
     }
 }
 
@@ -261,26 +267,9 @@ impl NetClient {
     }
 
     fn read_from_wire(&mut self) -> Result<Response, ClientError> {
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match self.decoder.next_frame() {
-                Ok(Some(payload)) => {
-                    return proto::decode_response(&payload).map_err(ClientError::Wire)
-                }
-                Ok(None) => {}
-                Err(e) => return Err(ClientError::Frame(e)),
-            }
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    return match self.decoder.finish() {
-                        Ok(()) => Err(ClientError::ServerClosed),
-                        Err(e) => Err(ClientError::Frame(e)),
-                    }
-                }
-                Ok(n) => self.decoder.push(&buf[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(ClientError::Io(e)),
-            }
+        match self.decoder.read_frame::<ClientError>(&mut self.stream)? {
+            Some(payload) => proto::decode_response(&payload).map_err(ClientError::Wire),
+            None => Err(ClientError::ServerClosed),
         }
     }
 

@@ -235,28 +235,23 @@ impl FaultyTransport {
     /// dead transport, timeout, or server close — never hangs past the
     /// read timeout.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        use std::io::Read;
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match self.decoder.next_frame() {
-                Ok(Some(payload)) => {
-                    return proto::decode_response(&payload).map_err(ClientError::Wire)
-                }
-                Ok(None) => {}
-                Err(e) => return Err(ClientError::Frame(e)),
+        // A dead transport still yields the frames already buffered.
+        let read = match self.stream.as_mut() {
+            Some(stream) => self.decoder.read_frame(stream),
+            None => self.decoder.read_frame(&mut io::empty()),
+        };
+        match read {
+            Ok(Some(payload)) => proto::decode_response(&payload).map_err(ClientError::Wire),
+            Ok(None) => {
+                self.stream = None;
+                Err(ClientError::ServerClosed)
             }
-            let stream = self.stream.as_mut().ok_or(ClientError::ServerClosed)?;
-            match stream.read(&mut buf) {
-                Ok(0) => {
+            Err(e) => {
+                // Framing has no resync point: the connection is done.
+                if matches!(e, ClientError::Frame(_)) {
                     self.stream = None;
-                    return match self.decoder.finish() {
-                        Ok(()) => Err(ClientError::ServerClosed),
-                        Err(e) => Err(ClientError::Frame(e)),
-                    };
                 }
-                Ok(n) => self.decoder.push(&buf[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(ClientError::Io(e)),
+                Err(e)
             }
         }
     }
@@ -269,54 +264,12 @@ fn open_stream(addr: SocketAddr, read_timeout: Duration) -> io::Result<TcpStream
     Ok(stream)
 }
 
-// ---------------------------------------------------------------------------
-// RST injection: closing with SO_LINGER {on, 0} makes the kernel send a
-// reset instead of an orderly FIN. std's TcpStream::set_linger is
-// unstable, so the sockopt is set by hand (std already links libc — the
-// same posture as the server's `poll` declaration).
-
-#[cfg(target_os = "linux")]
+/// Close `stream` with a reset (RST) instead of an orderly FIN: `SO_LINGER`
+/// {on, 0} on Linux, a plain close elsewhere (the chaos suite's
+/// assertions — typed error or correct answer, no hangs — hold either way).
 fn abort_with_rst(stream: TcpStream) {
-    use std::os::fd::AsRawFd;
-
-    #[repr(C)]
-    struct Linger {
-        l_onoff: std::ffi::c_int,
-        l_linger: std::ffi::c_int,
-    }
-    const SOL_SOCKET: std::ffi::c_int = 1;
-    const SO_LINGER: std::ffi::c_int = 13;
-    extern "C" {
-        fn setsockopt(
-            fd: std::ffi::c_int,
-            level: std::ffi::c_int,
-            optname: std::ffi::c_int,
-            optval: *const std::ffi::c_void,
-            optlen: u32,
-        ) -> std::ffi::c_int;
-    }
-    let linger = Linger {
-        l_onoff: 1,
-        l_linger: 0,
-    };
-    // SAFETY: fd is live (we own `stream`), and optval/optlen describe a
-    // valid repr(C) linger struct for the duration of the call.
-    unsafe {
-        setsockopt(
-            stream.as_raw_fd(),
-            SOL_SOCKET,
-            SO_LINGER,
-            (&linger as *const Linger).cast(),
-            std::mem::size_of::<Linger>() as u32,
-        );
-    }
-    drop(stream); // close(2) now aborts with RST
-}
-
-#[cfg(not(target_os = "linux"))]
-fn abort_with_rst(stream: TcpStream) {
-    // Portable fallback: an orderly close. The chaos suite's assertions
-    // (typed error or correct answer, no hangs) hold either way.
+    #[cfg(target_os = "linux")]
+    tcss_core::sys::set_linger_zero(&stream);
     drop(stream);
 }
 

@@ -1,221 +1,10 @@
-//! Length-prefixed binary framing.
-//!
-//! Every message on the wire is one *frame*: a 4-byte little-endian
-//! payload length followed by exactly that many payload bytes. The codec
-//! is byte-boundary agnostic — [`FrameDecoder`] accepts input in whatever
-//! fragments the kernel delivers (one byte at a time, a header split
-//! across reads, several frames in one read) and yields complete payloads
-//! in order. The framing layer knows nothing about payload contents;
-//! message semantics live in [`crate::net::proto`].
-//!
-//! Failure posture (the protocol-proptest contract):
-//!
-//! * a length prefix above the configured cap is a typed
-//!   [`FrameError::Oversized`] *before* any payload is buffered — a
-//!   hostile 4 GiB header cannot make the server allocate;
-//! * a connection that ends mid-frame is a typed
-//!   [`FrameError::TruncatedEof`] from [`FrameDecoder::finish`];
-//! * no input sequence panics or leaves the decoder wedged: after an
-//!   error the decoder stays in the error state and keeps reporting it
-//!   (the connection is closed by the caller, never silently resynced).
+//! Length-prefixed binary framing: the serving flavour of the shared
+//! codec in [`tcss_core::frame`], whose docs hold the decoder contract.
+//! Serving frames carry no trailer — `[u32 LE len][payload]` — and
+//! decoders are built with [`FrameDecoder::new`] and a payload cap
+//! ([`DEFAULT_MAX_FRAME_LEN`] unless configured). Message semantics live
+//! in [`crate::net::proto`].
 
-/// Bytes in the length prefix.
-pub const HEADER_LEN: usize = 4;
-
-/// Default maximum payload length a decoder accepts (1 MiB).
-pub const DEFAULT_MAX_FRAME_LEN: u32 = 1 << 20;
-
-/// Typed framing errors. These are connection-fatal: framing corruption
-/// has no safe resync point, so the caller responds (when possible) and
-/// closes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameError {
-    /// The length prefix exceeds the decoder's configured cap.
-    Oversized {
-        /// Length the prefix declared.
-        declared: u32,
-        /// Maximum the decoder accepts.
-        max: u32,
-    },
-    /// The stream ended (EOF) with a partial frame buffered.
-    TruncatedEof {
-        /// Bytes of the unfinished frame (header + partial payload).
-        buffered: usize,
-    },
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Oversized { declared, max } => {
-                write!(f, "frame of {declared} bytes exceeds the {max}-byte cap")
-            }
-            FrameError::TruncatedEof { buffered } => {
-                write!(f, "stream ended mid-frame with {buffered} byte(s) buffered")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-/// Encode `payload` as one frame (length prefix + payload).
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    write_frame(&mut out, payload);
-    out
-}
-
-/// Append one frame for `payload` to `out` (the allocation-reusing form
-/// the server's per-connection write buffers use).
-pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    let len = u32::try_from(payload.len()).expect("payload fits a u32 length prefix");
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
-/// Incremental frame decoder over an append-only byte buffer.
-///
-/// Feed raw bytes with [`FrameDecoder::push`], drain complete payloads
-/// with [`FrameDecoder::next_frame`], and report EOF with
-/// [`FrameDecoder::finish`] so a trailing partial frame becomes a typed
-/// error instead of silent truncation.
-#[derive(Debug)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-    /// Consumed prefix of `buf` (compacted opportunistically).
-    pos: usize,
-    max_frame_len: u32,
-    poisoned: Option<FrameError>,
-}
-
-impl FrameDecoder {
-    /// Decoder accepting payloads up to `max_frame_len` bytes.
-    pub fn new(max_frame_len: u32) -> Self {
-        FrameDecoder {
-            buf: Vec::new(),
-            pos: 0,
-            max_frame_len,
-            poisoned: None,
-        }
-    }
-
-    /// Append raw bytes from the transport.
-    pub fn push(&mut self, bytes: &[u8]) {
-        // Compact before growing: everything before `pos` is consumed.
-        if self.pos > 0 && (self.pos >= self.buf.len() || self.pos >= 4096) {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes currently buffered but not yet consumed as frames.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Next complete payload, if one is buffered.
-    ///
-    /// `Ok(None)` means "need more bytes". An `Err` poisons the decoder:
-    /// every later call reports the same error (framing has no resync).
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        if let Some(e) = self.poisoned {
-            return Err(e);
-        }
-        let avail = &self.buf[self.pos..];
-        if avail.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let declared = u32::from_le_bytes(avail[..HEADER_LEN].try_into().expect("4 bytes"));
-        if declared > self.max_frame_len {
-            let e = FrameError::Oversized {
-                declared,
-                max: self.max_frame_len,
-            };
-            self.poisoned = Some(e);
-            return Err(e);
-        }
-        let total = HEADER_LEN + declared as usize;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let payload = avail[HEADER_LEN..total].to_vec();
-        self.pos += total;
-        Ok(Some(payload))
-    }
-
-    /// Signal EOF: a partial frame still buffered is a typed truncation
-    /// error; a clean frame boundary is `Ok`.
-    pub fn finish(&self) -> Result<(), FrameError> {
-        if let Some(e) = self.poisoned {
-            return Err(e);
-        }
-        let buffered = self.buffered();
-        if buffered > 0 {
-            Err(FrameError::TruncatedEof { buffered })
-        } else {
-            Ok(())
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn single_frame_roundtrip() {
-        let mut d = FrameDecoder::new(DEFAULT_MAX_FRAME_LEN);
-        d.push(&encode_frame(b"hello"));
-        assert_eq!(d.next_frame().unwrap().as_deref(), Some(&b"hello"[..]));
-        assert_eq!(d.next_frame().unwrap(), None);
-        d.finish().unwrap();
-    }
-
-    #[test]
-    fn byte_at_a_time_delivery() {
-        let mut d = FrameDecoder::new(64);
-        let wire = encode_frame(b"abc");
-        for &b in &wire {
-            d.push(&[b]);
-        }
-        assert_eq!(d.next_frame().unwrap().as_deref(), Some(&b"abc"[..]));
-    }
-
-    #[test]
-    fn oversized_header_is_typed_and_sticky() {
-        let mut d = FrameDecoder::new(8);
-        d.push(&encode_frame(&[0u8; 9]));
-        let e = d.next_frame().unwrap_err();
-        assert_eq!(
-            e,
-            FrameError::Oversized {
-                declared: 9,
-                max: 8
-            }
-        );
-        assert_eq!(d.next_frame().unwrap_err(), e, "poisoned decoder sticks");
-        assert_eq!(d.finish().unwrap_err(), e);
-    }
-
-    #[test]
-    fn eof_mid_frame_is_truncation() {
-        let mut d = FrameDecoder::new(64);
-        let wire = encode_frame(b"abcdef");
-        d.push(&wire[..wire.len() - 2]);
-        assert_eq!(d.next_frame().unwrap(), None);
-        assert!(matches!(
-            d.finish().unwrap_err(),
-            FrameError::TruncatedEof { buffered: 8 }
-        ));
-    }
-
-    #[test]
-    fn empty_payload_frames_are_legal_at_frame_layer() {
-        let mut d = FrameDecoder::new(64);
-        d.push(&encode_frame(b""));
-        assert_eq!(d.next_frame().unwrap().as_deref(), Some(&b""[..]));
-        d.finish().unwrap();
-    }
-}
+pub use tcss_core::frame::{
+    encode_frame, write_frame, FrameDecoder, FrameError, DEFAULT_MAX_FRAME_LEN, HEADER_LEN,
+};

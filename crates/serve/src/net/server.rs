@@ -3,7 +3,8 @@
 //!
 //! No tokio, no mio — matching the workspace's no-external-deps posture,
 //! the event loop is built directly on non-blocking sockets and the
-//! `poll` syscall (declared by hand; std already links libc). The design
+//! `poll` syscall (through `tcss_core::sys`, the workspace's one FFI
+//! module). The design
 //! is a small thread-per-core layout:
 //!
 //! * **one acceptor thread** owns the listener and hands fresh
@@ -72,7 +73,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -85,49 +86,7 @@ use crate::net::admission::{AdmissionGate, Permit};
 use crate::net::frame::{self, FrameDecoder, FrameError, DEFAULT_MAX_FRAME_LEN};
 use crate::net::proto::{self, ErrorCode, Request, RequestBody, Response, ResponseBody};
 use crate::{ScoreRequest, ServingEngine};
-
-// ---------------------------------------------------------------------------
-// poll(2) FFI — the one syscall the readiness loop needs. std links libc,
-// so a plain extern declaration suffices; no crate dependency.
-
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct PollFd {
-    fd: RawFd,
-    events: i16,
-    revents: i16,
-}
-
-const POLLIN: i16 = 0x001;
-const POLLOUT: i16 = 0x004;
-const POLLERR: i16 = 0x008;
-const POLLHUP: i16 = 0x010;
-const POLLNVAL: i16 = 0x020;
-
-#[cfg(target_os = "linux")]
-type NFds = std::ffi::c_ulong;
-#[cfg(not(target_os = "linux"))]
-type NFds = std::ffi::c_uint;
-
-extern "C" {
-    fn poll(fds: *mut PollFd, nfds: NFds, timeout: std::ffi::c_int) -> std::ffi::c_int;
-}
-
-/// `poll` with EINTR retry. `timeout_ms < 0` blocks indefinitely.
-fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-    loop {
-        // SAFETY: `fds` is a valid, exclusively borrowed slice of
-        // repr(C) pollfd structs for the duration of the call.
-        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as NFds, timeout_ms) };
-        if rc >= 0 {
-            return Ok(rc as usize);
-        }
-        let e = io::Error::last_os_error();
-        if e.kind() != io::ErrorKind::Interrupted {
-            return Err(e);
-        }
-    }
-}
+use tcss_core::sys::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 
 // ---------------------------------------------------------------------------
 // Configuration and metrics.
@@ -343,6 +302,8 @@ fn frame_error_response(fe: FrameError) -> Response {
     let code = match fe {
         FrameError::Oversized { .. } => ErrorCode::FrameTooLarge,
         FrameError::TruncatedEof { .. } => ErrorCode::Truncated,
+        // Serving frames carry no checksum trailer.
+        FrameError::ChecksumMismatch { .. } => ErrorCode::Malformed,
     };
     Response {
         id: 0,

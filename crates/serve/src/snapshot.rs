@@ -69,8 +69,9 @@
 //!
 //! ## Integrity
 //!
-//! Writes are atomic (temp + fsync + rename, the PR 2 checkpoint
-//! contract); the header and payload carry independent FNV-1a 64 digests.
+//! Writes are atomic (temp + fsync + rename + directory fsync, through
+//! `tcss_core::checkpoint::atomic_write`); the header and payload carry
+//! independent FNV-1a 64 digests.
 //! [`SnapshotModel::open`] verifies both — any truncation or bit flip is a
 //! typed [`SnapError`], never a garbage model. [`SnapshotModel::open_fast`]
 //! verifies the header and the *file size* only (every truncation is still
@@ -79,7 +80,7 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{Read as _, Write as _};
+use std::io::Read as _;
 use std::path::Path;
 
 use tcss_core::TcssModel;
@@ -252,31 +253,6 @@ impl From<std::io::Error> for SnapError {
 
 use tcss_core::digest::fnv1a64;
 
-/// Atomic byte write: temp file in the same directory, fsync, rename over
-/// the target, fsync the directory. A crash leaves the old file or the new
-/// file — never a mix.
-fn atomic_write_bytes(path: &Path, contents: &[u8]) -> std::io::Result<()> {
-    let tmp = {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(".tmp");
-        std::path::PathBuf::from(os)
-    };
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(contents)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // Layout: section offsets derived from (mode, dims), never stored.
 // ---------------------------------------------------------------------
@@ -434,39 +410,8 @@ pub fn snapshot_bytes(model: &TcssModel, mode: QuantMode) -> Vec<u8> {
 /// Convert `model` and write it atomically to `path`.
 pub fn write_snapshot(model: &TcssModel, mode: QuantMode, path: &Path) -> Result<(), SnapError> {
     let bytes = snapshot_bytes(model, mode);
-    atomic_write_bytes(path, &bytes)?;
+    tcss_core::checkpoint::atomic_write(path, &bytes)?;
     Ok(())
-}
-
-// ---------------------------------------------------------------------
-// mmap(2) — hand-declared, matching the repo's no-deps FFI style (see the
-// poll(2) declaration in net::server). std links libc, so a plain extern
-// declaration suffices.
-// ---------------------------------------------------------------------
-
-#[cfg(unix)]
-mod sys {
-    use std::ffi::{c_int, c_void};
-
-    pub const PROT_READ: c_int = 1;
-    pub const MAP_PRIVATE: c_int = 2;
-
-    #[cfg(target_os = "linux")]
-    pub type Off = i64;
-    #[cfg(not(target_os = "linux"))]
-    pub type Off = i64; // 64-bit off_t on every modern unix this repo targets
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: Off,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    }
 }
 
 /// The bytes backing an open snapshot: a read-only private mapping on
@@ -474,71 +419,23 @@ mod sys {
 /// e.g. on filesystems without mmap support).
 enum SnapBuf {
     #[cfg(unix)]
-    Mapped { ptr: *const u8, len: usize },
+    Mapped(tcss_core::sys::Mmap),
     /// `Vec<u64>` backing guarantees 8-byte alignment for the header and
     /// every (64-byte-aligned) section.
     Owned { buf: Vec<u64>, len: usize },
 }
 
-// SAFETY: the mapping is PROT_READ/MAP_PRIVATE and never mutated or
-// remapped after construction; sharing the pointer across threads is a
-// plain shared read of immutable memory.
-unsafe impl Send for SnapBuf {}
-unsafe impl Sync for SnapBuf {}
-
 impl SnapBuf {
     fn bytes(&self) -> &[u8] {
         match self {
             #[cfg(unix)]
-            // SAFETY: ptr/len delimit a live PROT_READ mapping owned by
-            // self; it is unmapped only in Drop.
-            SnapBuf::Mapped { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
+            SnapBuf::Mapped(map) => map.bytes(),
             SnapBuf::Owned { buf, len } => {
                 // SAFETY: the u64 backing covers at least `len` bytes.
                 unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<u8>(), *len) }
             }
         }
     }
-}
-
-impl Drop for SnapBuf {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        if let SnapBuf::Mapped { ptr, len } = *self {
-            // SAFETY: ptr/len came from a successful mmap of exactly len
-            // bytes and are unmapped exactly once, here.
-            unsafe {
-                sys::munmap(ptr as *mut std::ffi::c_void, len);
-            }
-        }
-    }
-}
-
-#[cfg(unix)]
-fn map_file(file: &File, len: usize) -> Option<SnapBuf> {
-    use std::os::unix::io::AsRawFd;
-    if len == 0 {
-        return None;
-    }
-    // SAFETY: requesting a fresh PROT_READ/MAP_PRIVATE mapping of an open
-    // fd; the kernel picks the address. Failure is MAP_FAILED, checked.
-    let ptr = unsafe {
-        sys::mmap(
-            std::ptr::null_mut(),
-            len,
-            sys::PROT_READ,
-            sys::MAP_PRIVATE,
-            file.as_raw_fd(),
-            0,
-        )
-    };
-    if ptr == usize::MAX as *mut std::ffi::c_void || ptr.is_null() {
-        return None;
-    }
-    Some(SnapBuf::Mapped {
-        ptr: ptr as *const u8,
-        len,
-    })
 }
 
 fn read_owned(file: &mut File, len: usize) -> std::io::Result<SnapBuf> {
@@ -674,8 +571,8 @@ impl SnapshotModel {
 
         let total = expected_len as usize;
         #[cfg(unix)]
-        let buf = match map_file(&file, total) {
-            Some(mapped) => mapped,
+        let buf = match tcss_core::sys::Mmap::map(&file, total) {
+            Some(map) => SnapBuf::Mapped(map),
             None => {
                 // mmap refused (unusual fs) — fall back to an owned read.
                 let mut file = File::open(path)?;

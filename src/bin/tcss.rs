@@ -443,32 +443,6 @@ fn cmd_recommend_batch(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Signal handling for `tcss serve` — declared by hand (std already links
-// libc; same posture as the serving crate's `poll` declaration). The
-// handler only flips an atomic; the drain itself runs on the main thread.
-
-static STOP_REQUESTED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-extern "C" fn request_stop(_signum: std::ffi::c_int) {
-    STOP_REQUESTED.store(true, std::sync::atomic::Ordering::SeqCst);
-}
-
-fn install_stop_handlers() {
-    const SIGINT: std::ffi::c_int = 2;
-    const SIGTERM: std::ffi::c_int = 15;
-    extern "C" {
-        fn signal(signum: std::ffi::c_int, handler: usize) -> usize;
-    }
-    // SAFETY: request_stop is async-signal-safe (one atomic store) and
-    // has the handler ABI signal(2) expects.
-    unsafe {
-        let handler = request_stop as extern "C" fn(std::ffi::c_int) as *const () as usize;
-        signal(SIGINT, handler);
-        signal(SIGTERM, handler);
-    }
-}
-
 fn cmd_export_snapshot(args: &[String]) -> Result<(), String> {
     use tcss::serve::snapshot::{write_snapshot, SnapshotModel};
     use tcss::serve::QuantMode;
@@ -569,8 +543,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         handle.addr()
     );
     println!("listening; Ctrl-C (or SIGTERM) drains and stops");
-    install_stop_handlers();
-    while !STOP_REQUESTED.load(std::sync::atomic::Ordering::SeqCst) {
+    let stop = tcss::core::sys::stop_on_signals();
+    while !stop.load(std::sync::atomic::Ordering::SeqCst) {
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
     println!(
